@@ -1,7 +1,7 @@
 //! Experiment E10 — hot-path microbenchmarks seeding the repo's
 //! performance trajectory.
 //!
-//! Two measurements, both taken *in the same run* so speed-ups are
+//! Three measurements, all taken *in the same run* so speed-ups are
 //! always relative to a baseline recorded on the same machine:
 //!
 //! 1. **Ticks per second** of the system simulator on the stationary
@@ -20,13 +20,7 @@
 //!    dispatcher's fallback runs), and the per-sim warm shape. Every
 //!    batch pass must reproduce its same-mode per-sim bits — asserted
 //!    via a shared checksum.
-//! 3. **Sparse refactorization kernel** (`sparse_refactor`): on the
-//!    per-step MNA matrix of a 300-stage RC ladder — an order of
-//!    magnitude past the largest committed netlist fixture — the
-//!    `O(nnz)` sparse refactorize-and-solve against a from-scratch
-//!    dense LU factor-and-solve, with the solutions asserted
-//!    bit-identical before any timing starts.
-//! 4. **Campaign wall-clock** of a 16-point factorial over the
+//! 3. **Campaign wall-clock** of a 16-point factorial over the
 //!    stationary scenario under the deterministic self-scheduling
 //!    queue, at fixed thread counts (1/2/4/8).
 //!
@@ -37,15 +31,11 @@
 //! seconds-scale run with the identical code path — used by CI, which
 //! uploads the JSON as an artifact and asserts it parses.
 
-use ehsim_circuit::mna::MnaBuilder;
-use ehsim_circuit::{Netlist, SolverBackend, SourceWaveform};
 use ehsim_core::experiment::{Campaign, StandardFactors};
 use ehsim_core::indicators::Indicator;
 use ehsim_core::scenario::Scenario;
 use ehsim_doe::design::factorial::full_factorial_2k;
 use ehsim_node::{BatchSimulator, NodeConfig, PreparedSimulator, SolverMode, SystemSimulator};
-use ehsim_numeric::sparse_lu::Ordering as SparseOrdering;
-use ehsim_numeric::{Csc, Lu, SparseLu, Symbolic};
 use ehsim_vibration::Sine;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -305,132 +295,7 @@ fn run(
         }
     }
 
-    // --- 3. sparse refactorization kernel ---------------------------
-    // The per-step Jacobian of a 300-stage RC ladder (dim ≈ 300, an
-    // order of magnitude past the largest committed fixture). Transient
-    // engines assemble exactly this shape every step: resistor
-    // conductances plus backward-Euler capacitor companions and one
-    // voltage-source branch.
-    let ladder_stages = 300usize;
-    let ladder_dt = 2e-5;
-    let mut ladder = Netlist::new();
-    let mut prev = ladder.node("in");
-    ladder
-        .vsource("V1", prev, Netlist::GROUND, SourceWaveform::sine(1.0, 64.0))
-        .expect("source");
-    for i in 0..ladder_stages {
-        let node = ladder.node(&format!("n{i}"));
-        ladder
-            .resistor(&format!("R{i}"), prev, node, 1e3 + i as f64)
-            .expect("resistor");
-        ladder
-            .capacitor(&format!("C{i}"), node, Netlist::GROUND, 1e-6, 0.0)
-            .expect("capacitor");
-        prev = node;
-    }
-    let mut mna = MnaBuilder::new(ladder.node_count(), 1);
-    for e in ladder.elements() {
-        match &e.kind {
-            ehsim_circuit::ElementKind::Resistor { a, b, ohms } => {
-                mna.stamp_conductance(*a, *b, 1.0 / ohms)
-            }
-            ehsim_circuit::ElementKind::Capacitor { a, b, farads, .. } => {
-                mna.stamp_conductance(*a, *b, farads / ladder_dt)
-            }
-            ehsim_circuit::ElementKind::VoltageSource { plus, minus, .. } => {
-                mna.stamp_branch_incidence(0, *plus, *minus);
-                mna.set_branch_rhs(0, 1.0);
-            }
-            _ => {}
-        }
-    }
-    let sparse_dim = mna.dim();
-    let last_unknown = ladder_stages; // node n_{S-1} in MNA numbering
-
-    // Bit-identity gate before any timing: the sparse backends must
-    // agree with the dense oracle on this system, warm path included.
-    let dense_oracle = mna
-        .factor_backend(SolverBackend::Dense)
-        .expect("dense factor");
-    let v_oracle = mna.solve_with_factor(&dense_oracle).expect("dense solve").v;
-    let mut sparse_factor = mna
-        .factor_backend(SolverBackend::SparseNatural)
-        .expect("sparse factor");
-    let sparse_nnz = match &sparse_factor {
-        ehsim_circuit::MnaFactor::Sparse { lu, .. } => lu.nnz(),
-        ehsim_circuit::MnaFactor::Dense(_) => unreachable!("explicit sparse backend"),
-    };
-    assert!(
-        mna.refactor(&mut sparse_factor).expect("refactor"),
-        "well-conditioned ladder must stay on the fast path"
-    );
-    let v_sparse = mna
-        .solve_with_factor(&sparse_factor)
-        .expect("sparse solve")
-        .v;
-    for (i, (a, b)) in v_oracle.iter().zip(&v_sparse).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "sparse v[{i}] must be bit-identical to dense"
-        );
-    }
-
-    // Kernel-level timing: the `O(nnz)` numeric refactorize+solve
-    // against a from-scratch dense LU factor+solve on the same matrix
-    // and right-hand side. (The `MnaBuilder` wrapper above additionally
-    // rescans the dense assembly on every refactor to detect pattern
-    // escapes; that cost belongs to assembly, not to the kernel under
-    // test.)
-    let g = mna.matrix().clone();
-    let rhs = mna.rhs().to_vec();
-    let a_csc = Csc::from_dense(&g);
-    let sym = Symbolic::analyze(&a_csc, SparseOrdering::Natural).expect("symbolic");
-    let mut slu = SparseLu::factorize(&sym, &a_csc).expect("numeric");
-    // Warm both kernels before timing: each sparse pass is only
-    // microseconds, so a single cold-cache call would dominate a short
-    // series.
-    Lu::factor(&g)
-        .expect("warm-up")
-        .solve(&rhs)
-        .expect("warm-up");
-    slu.refactorize(&sym, &a_csc).expect("warm-up");
-    slu.solve(&rhs).expect("warm-up");
-    let reps_lin = if smoke { 200 } else { 1000 };
-    let (t_dense_lu, _) = time_reps(reps_lin, || {
-        Lu::factor(&g)
-            .expect("dense factor")
-            .solve(&rhs)
-            .expect("dense solve")[last_unknown]
-    });
-    let (t_refactor, _) = time_reps(reps_lin, || {
-        assert!(slu.refactorize(&sym, &a_csc).expect("refactorize"));
-        slu.solve(&rhs).expect("sparse solve")[last_unknown]
-    });
-    let dense_solves_per_sec = reps_lin as f64 / t_dense_lu;
-    let refactor_solves_per_sec = reps_lin as f64 / t_refactor;
-    let refactor_speedup = t_dense_lu / t_refactor;
-    println!(
-        "\nsparse refactorization — {ladder_stages}-stage ladder, dim {sparse_dim}, \
-         nnz {sparse_nnz}, {reps_lin} reps"
-    );
-    println!("{:<28} {:>14} {:>10}", "kernel", "solves/sec", "speedup");
-    println!("{}", "-".repeat(56));
-    println!(
-        "{:<28} {:>14.0} {:>9.2}x",
-        "dense LU (from scratch)", dense_solves_per_sec, 1.0
-    );
-    println!(
-        "{:<28} {:>14.0} {:>9.2}x",
-        "sparse refactorize", refactor_solves_per_sec, refactor_speedup
-    );
-    assert!(
-        refactor_speedup >= 5.0,
-        "sparse refactorization must be at least 5x a from-scratch dense \
-         LU at dim {sparse_dim}; measured {refactor_speedup:.2}x"
-    );
-
-    // --- 4. campaign wall-clock scaling -----------------------------
+    // --- 3. campaign wall-clock scaling -----------------------------
     let campaign = Campaign::standard(
         StandardFactors::default(),
         Scenario::stationary_machine(campaign_duration_s),
@@ -459,10 +324,10 @@ fn run(
         scaling.push((threads, res.sim_count, wall_ms));
     }
 
-    // --- 5. machine-readable artefact -------------------------------
+    // --- 4. machine-readable artefact -------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema_version\": 3,\n");
+    json.push_str("  \"schema_version\": 4,\n");
     json.push_str("  \"generated_by\": \"e10_hotpath\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str("  \"ticks_microbench\": {\n");
@@ -522,24 +387,6 @@ fn run(
         ));
     }
     json.push_str("    ]\n");
-    json.push_str("  },\n");
-    json.push_str("  \"sparse_refactor\": {\n");
-    json.push_str(&format!("    \"ladder_stages\": {ladder_stages},\n"));
-    json.push_str(&format!("    \"dim\": {sparse_dim},\n"));
-    json.push_str(&format!("    \"nnz\": {sparse_nnz},\n"));
-    json.push_str(&format!("    \"reps\": {reps_lin},\n"));
-    json.push_str(&format!(
-        "    \"dense_lu_solves_per_sec\": {},\n",
-        json_num(dense_solves_per_sec)
-    ));
-    json.push_str(&format!(
-        "    \"refactor_solves_per_sec\": {},\n",
-        json_num(refactor_solves_per_sec)
-    ));
-    json.push_str(&format!(
-        "    \"speedup_refactor_vs_dense_lu\": {}\n",
-        json_num(refactor_speedup)
-    ));
     json.push_str("  },\n");
     json.push_str("  \"campaign_scaling\": [\n");
     for (i, (threads, jobs, wall_ms)) in scaling.iter().enumerate() {
@@ -692,10 +539,6 @@ mod smoke {
             "\"mode\": \"warm\"",
             "\"speedup_vs_per_sim\"",
             "\"speedup_vs_reference\"",
-            "\"sparse_refactor\"",
-            "\"dense_lu_solves_per_sec\"",
-            "\"refactor_solves_per_sec\"",
-            "\"speedup_refactor_vs_dense_lu\"",
             "\"campaign_scaling\"",
             "\"wall_ms\"",
         ] {

@@ -5,9 +5,9 @@
 //! with Newton–Raphson. Sources are evaluated at a caller-supplied time
 //! (usually `t = 0`).
 
-use crate::mna::{MnaBuilder, MnaFactor, MnaSolution};
+use crate::mna::{MnaBuilder, MnaSolution};
 use crate::netlist::{ElementKind, Netlist, NodeId};
-use crate::{CircuitError, Result, SolverBackend};
+use crate::{CircuitError, Result};
 use std::collections::BTreeMap;
 
 /// Result of a DC operating-point analysis.
@@ -40,21 +40,6 @@ impl DcSolution {
 ///   a capacitor in series with everything else leaves nodes floating
 ///   at DC.
 pub fn operating_point(nl: &Netlist, t: f64) -> Result<DcSolution> {
-    operating_point_with_backend(nl, t, SolverBackend::Auto)
-}
-
-/// [`operating_point`] with an explicit linear-solver backend. With a
-/// sparse backend the diode NR loop factors the pattern once and
-/// refactorises new values in `O(nnz)` on every later iteration.
-///
-/// # Errors
-///
-/// Same as [`operating_point`].
-pub fn operating_point_with_backend(
-    nl: &Netlist,
-    t: f64,
-    backend: SolverBackend,
-) -> Result<DcSolution> {
     nl.validate()?;
     let n_nodes = nl.node_count();
 
@@ -103,7 +88,6 @@ pub fn operating_point_with_backend(
     let mut diode_v = vec![0.0; diodes.len()];
 
     let mut last: Option<MnaSolution> = None;
-    let mut factor: Option<MnaFactor> = None;
     for _ in 0..200 {
         let mut b = MnaBuilder::new(n_nodes, branch);
         for e in nl.elements() {
@@ -129,7 +113,7 @@ pub fn operating_point_with_backend(
             b.stamp_branch_incidence(*br, *p, *m);
             let ctrl_branch = *ind_branch_of_elem
                 .get(ctrl)
-                .expect("validation guarantees inductor control");
+                .ok_or_else(|| CircuitError::invalid("CCVS is not controlled by an inductor"))?;
             b.add_branch_branch_coeff(*br, ctrl_branch, -r);
             b.set_branch_rhs(*br, 0.0);
         }
@@ -140,16 +124,7 @@ pub fn operating_point_with_backend(
             b.stamp_current_source(*a, *c, i_eq);
         }
 
-        let sol = match factor.as_mut() {
-            Some(f) => {
-                b.refactor(f)?;
-                b.solve_with_factor(f)?
-            }
-            None => {
-                let f = factor.insert(b.factor_backend(backend)?);
-                b.solve_with_factor(f)?
-            }
-        };
+        let sol = b.solve()?;
         let mut delta: f64 = 0.0;
         for ((a, c, _), vd) in diodes.iter().zip(diode_v.iter_mut()) {
             let raw = sol.voltage_between(*a, *c);
@@ -175,7 +150,10 @@ pub fn operating_point_with_backend(
         }
     }
 
-    let sol = last.expect("at least one iteration ran");
+    let sol = last.ok_or_else(|| CircuitError::NoConvergence {
+        time: t,
+        detail: "dc operating point ran no iteration".into(),
+    })?;
     // Final convergence check on diode voltages.
     for ((a, c, _), vd) in diodes.iter().zip(&diode_v) {
         if (sol.voltage_between(*a, *c) - vd).abs() > 1e-3 {

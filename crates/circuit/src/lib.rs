@@ -63,7 +63,6 @@ pub mod probe;
 pub mod waveform;
 
 pub use lss::LinearizedStateSpaceEngine;
-pub use mna::MnaFactor;
 pub use netlist::{DiodeModel, ElementId, ElementKind, Netlist, NodeId};
 pub use newton::NewtonRaphsonEngine;
 pub use probe::{Probe, SimStats, TransientResult};
@@ -148,53 +147,11 @@ impl From<NumericError> for CircuitError {
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CircuitError>;
 
-/// Linear-solver backend used for the MNA systems of both engines.
-///
-/// The dense LU solver is exact and cheap for the small front-end
-/// netlists this workspace started from; the sparse KLU-style solver
-/// ([`ehsim_numeric::SparseLu`]) performs a one-time symbolic analysis
-/// and then refactorises new values of the *same pattern* in `O(nnz)`,
-/// which is what makes large harvester netlists tractable.
-///
-/// `SparseNatural` keeps the columns in natural order, which makes the
-/// sparse factorisation **bit-identical** to the dense one (same pivot
-/// sequence, same arithmetic order); `SparseAmd` applies a fill-reducing
-/// ordering and trades bit-identity for lower fill-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Pick automatically by system size: dense below
-    /// [`SolverBackend::AUTO_SPARSE_DIM`] unknowns, sparse (natural
-    /// ordering) at or above it.
-    #[default]
-    Auto,
-    /// Dense partial-pivoting LU ([`ehsim_numeric::Lu`]).
-    Dense,
-    /// Sparse LU in natural column order — bit-identical to `Dense`.
-    SparseNatural,
-    /// Sparse LU with a minimum-degree fill-reducing column ordering.
-    SparseAmd,
-}
-
-impl SolverBackend {
-    /// System dimension at which [`SolverBackend::Auto`] switches from
-    /// the dense to the sparse backend.
-    pub const AUTO_SPARSE_DIM: usize = 64;
-
-    /// Resolves `Auto` against a concrete system dimension; concrete
-    /// backends are returned unchanged.
-    pub fn resolve(self, dim: usize) -> SolverBackend {
-        match self {
-            SolverBackend::Auto => {
-                if dim >= Self::AUTO_SPARSE_DIM {
-                    SolverBackend::SparseNatural
-                } else {
-                    SolverBackend::Dense
-                }
-            }
-            other => other,
-        }
-    }
-}
+/// Largest accepted step count, `2^53`: the same bound as the node
+/// simulator's tick count. Beyond it `t_end / dt` no longer counts steps
+/// exactly, and the `as usize` cast in [`TransientConfig::steps`] would
+/// saturate and turn the step loop into an effectively unbounded hang.
+const MAX_STEPS: f64 = 9_007_199_254_740_992.0;
 
 /// Shared transient-analysis configuration.
 #[derive(Debug, Clone, Copy)]
@@ -212,12 +169,23 @@ impl TransientConfig {
     ///
     /// # Errors
     ///
-    /// [`CircuitError::InvalidConfig`] if `t_end <= 0`, `dt <= 0`, or
-    /// `dt > t_end`.
+    /// [`CircuitError::InvalidConfig`] if `t_end` or `dt` is not
+    /// positive and finite, if `dt > t_end`, or if the run needs more
+    /// than `2^53` steps.
     pub fn new(t_end: f64, dt: f64) -> Result<Self> {
-        if !(t_end > 0.0) || !(dt > 0.0) || dt > t_end {
+        let valid = t_end.is_finite() && dt.is_finite() && 0.0 < dt && dt <= t_end;
+        if !valid {
             return Err(CircuitError::InvalidConfig {
-                message: format!("need 0 < dt <= t_end (got dt={dt}, t_end={t_end})"),
+                message: format!("need finite 0 < dt <= t_end (got dt={dt}, t_end={t_end})"),
+            });
+        }
+        let steps = t_end / dt;
+        if steps > MAX_STEPS {
+            return Err(CircuitError::InvalidConfig {
+                message: format!(
+                    "t_end={t_end} at dt={dt} needs {steps:.3e} steps, \
+                     above the {MAX_STEPS:.3e}-step bound"
+                ),
             });
         }
         Ok(TransientConfig {
@@ -264,6 +232,17 @@ mod tests {
         assert!(TransientConfig::new(0.0, 1e-3).is_err());
         assert!(TransientConfig::new(1.0, 0.0).is_err());
         assert!(TransientConfig::new(1e-4, 1e-3).is_err());
+        // Non-finite inputs and step counts past 2^53 would saturate
+        // `steps()` at usize::MAX and hang both engines.
+        assert!(TransientConfig::new(f64::INFINITY, 1e-3).is_err());
+        assert!(TransientConfig::new(f64::NAN, 1e-3).is_err());
+        assert!(TransientConfig::new(1.0, f64::NAN).is_err());
+        assert!(TransientConfig::new(1e300, 1e-300).is_err());
+        assert!(TransientConfig::new(MAX_STEPS * 4.0, 2.0).is_err());
+        assert_eq!(
+            TransientConfig::new(MAX_STEPS, 1.0).unwrap().steps() as f64,
+            MAX_STEPS
+        );
         assert!(TransientConfig::new(1.0, 1e-3)
             .unwrap()
             .with_record_stride(0)
@@ -274,25 +253,6 @@ mod tests {
     fn config_step_count() {
         let cfg = TransientConfig::new(1.0, 0.1).unwrap();
         assert_eq!(cfg.steps(), 10);
-    }
-
-    #[test]
-    fn backend_auto_resolves_by_dimension() {
-        let auto = SolverBackend::Auto;
-        assert_eq!(auto.resolve(1), SolverBackend::Dense);
-        assert_eq!(
-            auto.resolve(SolverBackend::AUTO_SPARSE_DIM - 1),
-            SolverBackend::Dense
-        );
-        assert_eq!(
-            auto.resolve(SolverBackend::AUTO_SPARSE_DIM),
-            SolverBackend::SparseNatural
-        );
-        assert_eq!(SolverBackend::Dense.resolve(10_000), SolverBackend::Dense);
-        assert_eq!(
-            SolverBackend::SparseAmd.resolve(2),
-            SolverBackend::SparseAmd
-        );
     }
 
     #[test]

@@ -24,13 +24,14 @@
 //! the input vector stacks independent voltage then current sources,
 //! augmented with a constant `1` carrying the PWL diode offset voltages.
 
-use crate::mna::{MnaBuilder, MnaFactor};
+use crate::mna::MnaBuilder;
 use crate::netlist::{DiodeModel, ElementKind, Netlist, NodeId};
 use crate::probe::{Probe, SimStats, TransientResult};
 use crate::waveform::SourceWaveform;
-use crate::{CircuitError, Result, SolverBackend, TransientConfig};
+use crate::{CircuitError, Result, TransientConfig};
 use ehsim_numeric::expm::discretize_zoh;
 use ehsim_numeric::Matrix;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 // lint:allow(D2): wall-clock feeds the reporting-only `wall` duration, never result bytes
 use std::time::Instant;
@@ -41,18 +42,12 @@ pub struct LinearizedStateSpaceEngine {
     /// Maximum diode switching events handled within one nominal step
     /// before the run is declared chattering.
     pub max_events_per_step: usize,
-    /// Linear-solver backend for the per-topology resistive snapshots.
-    /// Diode topologies share one sparsity pattern (off-state diodes
-    /// keep a small non-zero conductance), so with a sparse backend
-    /// every topology after the first refactorises in `O(nnz)`.
-    pub backend: SolverBackend,
 }
 
 impl Default for LinearizedStateSpaceEngine {
     fn default() -> Self {
         LinearizedStateSpaceEngine {
             max_events_per_step: 256,
-            backend: SolverBackend::Auto,
         }
     }
 }
@@ -296,18 +291,18 @@ impl LssPrep {
         let ccvs = ccvs_raw
             .into_iter()
             .map(|(branch, plus, minus, ctrl_elem, r)| {
-                let slot = ind_slot
-                    .get(&ctrl_elem)
-                    .expect("netlist validation guarantees inductor control");
-                CcvsDef {
+                let slot = ind_slot.get(&ctrl_elem).ok_or_else(|| {
+                    CircuitError::invalid("CCVS is not controlled by an inductor")
+                })?;
+                Ok(CcvsDef {
                     branch,
                     plus,
                     minus,
                     ctrl_state: n_caps + slot,
                     r,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
 
         if diodes.len() > 64 {
             return Err(CircuitError::invalid(
@@ -431,18 +426,7 @@ impl LssPrep {
     }
 
     /// Builds (and discretises) the LTI system for one diode topology.
-    ///
-    /// `seed` carries the previous topology's factor: topologies differ
-    /// only in diode conductance values, so a sparse factor refactorises
-    /// instead of re-analysing.
-    fn build_topology(
-        &self,
-        mask: u64,
-        h: f64,
-        stats: &mut SimStats,
-        backend: SolverBackend,
-        seed: &mut Option<MnaFactor>,
-    ) -> Result<Topology> {
+    fn build_topology(&self, mask: u64, h: f64, stats: &mut SimStats) -> Result<Topology> {
         let ns = self.n_states;
         let nu = self.n_inputs;
         let ncols = ns + nu + 1;
@@ -469,20 +453,8 @@ impl LssPrep {
         for c in &self.caps {
             b.stamp_branch_incidence(c.branch, c.a, c.b);
         }
-        let lu = match seed.take() {
-            Some(mut f) => {
-                if b.refactor(&mut f)? {
-                    stats.refactorizations += 1;
-                } else {
-                    stats.lu_factorizations += 1;
-                }
-                f
-            }
-            None => {
-                stats.lu_factorizations += 1;
-                b.factor_backend(backend)?
-            }
-        };
+        stats.lu_factorizations += 1;
+        let lu = b.factor()?;
 
         let mut a_mat = Matrix::zeros(ns, ns);
         let mut b_aug = Matrix::zeros(ns, nu + 1);
@@ -547,7 +519,7 @@ impl LssPrep {
             }
 
             stats.lu_solves += 1;
-            let sol = b.solve_with_factor(&lu)?;
+            let sol = b.solve_with(&lu)?;
 
             // State derivatives.
             for c in &self.caps {
@@ -606,7 +578,6 @@ impl LssPrep {
             stats.expm_evaluations += 1;
             discretize_zoh(&a_mat, &b_aug, h)?
         };
-        *seed = Some(lu);
         Ok(Topology {
             a: a_mat,
             b_aug,
@@ -679,7 +650,6 @@ impl LinearizedStateSpaceEngine {
         let prep = LssPrep::build(nl, probes)?;
         let mut stats = SimStats::default();
         let mut cache: BTreeMap<u64, Topology> = BTreeMap::new();
-        let mut seed: Option<MnaFactor> = None;
         let ns = prep.n_states;
         let nu = prep.n_inputs;
 
@@ -691,15 +661,7 @@ impl LinearizedStateSpaceEngine {
         // Infer the initial diode conduction states from the initial
         // conditions (e.g. pre-charged storage capacitors).
         for _ in 0..(2 * prep.diodes.len() + 2) {
-            let topo = Self::get_topology(
-                &prep,
-                &mut cache,
-                mask,
-                cfg.dt,
-                &mut stats,
-                self.backend,
-                &mut seed,
-            )?;
+            let topo = Self::get_topology(&prep, &mut cache, mask, cfg.dt, &mut stats)?;
             z[..ns].copy_from_slice(&x);
             prep.inputs_at(0.0, &mut z[ns..ns + nu]);
             let mut changed = false;
@@ -720,15 +682,7 @@ impl LinearizedStateSpaceEngine {
 
         let mut result = TransientResult::new(probes.iter().map(|p| p.signal_name()).collect());
         {
-            let topo = Self::get_topology(
-                &prep,
-                &mut cache,
-                mask,
-                cfg.dt,
-                &mut stats,
-                self.backend,
-                &mut seed,
-            )?;
+            let topo = Self::get_topology(&prep, &mut cache, mask, cfg.dt, &mut stats)?;
             z[..ns].copy_from_slice(&x);
             prep.inputs_at(0.0, &mut z[ns..ns + nu]);
             let vals = Self::eval_probes(topo, &z);
@@ -750,15 +704,7 @@ impl LinearizedStateSpaceEngine {
                 let full_step = (remaining - cfg.dt).abs() < 1e-12 * cfg.dt;
                 // Compute the candidate advance over `remaining`.
                 let (x_new, f_start, f_end) = {
-                    let topo = Self::get_topology(
-                        &prep,
-                        &mut cache,
-                        mask,
-                        cfg.dt,
-                        &mut stats,
-                        self.backend,
-                        &mut seed,
-                    )?;
+                    let topo = Self::get_topology(&prep, &mut cache, mask, cfg.dt, &mut stats)?;
                     let (phi, gamma);
                     let (phi_ref, gamma_ref) = if full_step || ns == 0 {
                         stats.topology_cache_hits += 1;
@@ -856,15 +802,8 @@ impl LinearizedStateSpaceEngine {
                             remaining -= h1;
                         } else if alpha_min > 1e-9 {
                             // Advance exactly to the crossing.
-                            let topo = Self::get_topology(
-                                &prep,
-                                &mut cache,
-                                mask,
-                                cfg.dt,
-                                &mut stats,
-                                self.backend,
-                                &mut seed,
-                            )?;
+                            let topo =
+                                Self::get_topology(&prep, &mut cache, mask, cfg.dt, &mut stats)?;
                             stats.expm_evaluations += 1;
                             let (phi1, gamma1) = discretize_zoh(&topo.a, &topo.b_aug, h1)?;
                             let mut u_mid = vec![0.0; nu + 1];
@@ -887,15 +826,7 @@ impl LinearizedStateSpaceEngine {
             stats.steps += 1;
 
             if (k + 1) % cfg.record_stride == 0 || k + 1 == n_steps {
-                let topo = Self::get_topology(
-                    &prep,
-                    &mut cache,
-                    mask,
-                    cfg.dt,
-                    &mut stats,
-                    self.backend,
-                    &mut seed,
-                )?;
+                let topo = Self::get_topology(&prep, &mut cache, mask, cfg.dt, &mut stats)?;
                 z[..ns].copy_from_slice(&x);
                 prep.inputs_at(t1, &mut z[ns..ns + nu]);
                 let vals = Self::eval_probes(topo, &z);
@@ -908,23 +839,20 @@ impl LinearizedStateSpaceEngine {
         Ok(result)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn get_topology<'c>(
         prep: &LssPrep,
         cache: &'c mut BTreeMap<u64, Topology>,
         mask: u64,
         h: f64,
         stats: &mut SimStats,
-        backend: SolverBackend,
-        seed: &mut Option<MnaFactor>,
     ) -> Result<&'c Topology> {
-        if !cache.contains_key(&mask) {
-            let topo = prep.build_topology(mask, h, stats, backend, seed)?;
-            cache.insert(mask, topo);
-        } else {
-            stats.topology_cache_hits += 1;
+        match cache.entry(mask) {
+            Entry::Occupied(hit) => {
+                stats.topology_cache_hits += 1;
+                Ok(hit.into_mut())
+            }
+            Entry::Vacant(slot) => Ok(slot.insert(prep.build_topology(mask, h, stats)?)),
         }
-        Ok(cache.get(&mask).expect("just inserted"))
     }
 
     fn eval_probes(topo: &Topology, z: &[f64]) -> Vec<f64> {

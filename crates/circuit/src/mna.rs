@@ -14,9 +14,8 @@
 //!   injects it into `to`.
 
 use crate::netlist::NodeId;
-use crate::{Result, SolverBackend};
-use ehsim_numeric::sparse_lu::Ordering as SparseOrdering;
-use ehsim_numeric::{Csc, Lu, Matrix, NumericError, SparseLu, Symbolic};
+use crate::Result;
+use ehsim_numeric::{Lu, Matrix};
 
 /// An MNA system under construction.
 ///
@@ -201,142 +200,11 @@ impl MnaBuilder {
         Ok(self.unpack(x))
     }
 
-    /// Factors the assembled matrix with the requested backend.
-    ///
-    /// `Auto` resolves against [`MnaBuilder::dim`]; the sparse backends
-    /// capture the sparsity pattern and a reusable symbolic analysis so
-    /// later calls to [`MnaBuilder::refactor`] can refresh values in
-    /// `O(nnz)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ehsim_numeric::NumericError::Singular`] for floating
-    /// or ill-formed circuits.
-    pub fn factor_backend(&self, backend: SolverBackend) -> Result<MnaFactor> {
-        match backend.resolve(self.dim()) {
-            SolverBackend::Auto | SolverBackend::Dense => Ok(MnaFactor::Dense(self.factor()?)),
-            concrete => {
-                let ordering = if concrete == SolverBackend::SparseAmd {
-                    SparseOrdering::Amd
-                } else {
-                    SparseOrdering::Natural
-                };
-                let pattern = Csc::from_dense(&self.g);
-                let symbolic = Symbolic::analyze(&pattern, ordering)?;
-                let lu = SparseLu::factorize(&symbolic, &pattern)?;
-                Ok(MnaFactor::Sparse {
-                    pattern,
-                    symbolic,
-                    lu,
-                })
-            }
-        }
-    }
-
-    /// Refreshes `factor` for the currently assembled matrix.
-    ///
-    /// For a sparse factor whose pattern still covers the new matrix,
-    /// this reuses the symbolic analysis and frozen pivot sequence and
-    /// refactorises in `O(nnz)`, returning `Ok(true)`. Otherwise (dense
-    /// factor, pattern escape, or a pivot that went singular under the
-    /// frozen pivot order) it falls back to a from-scratch factorisation
-    /// and returns `Ok(false)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numeric errors when even the from-scratch
-    /// factorisation fails (genuinely singular matrix).
-    pub fn refactor(&self, factor: &mut MnaFactor) -> Result<bool> {
-        match factor {
-            MnaFactor::Dense(lu) => {
-                *lu = Lu::factor(&self.g)?;
-                Ok(false)
-            }
-            MnaFactor::Sparse {
-                pattern,
-                symbolic,
-                lu,
-            } => {
-                if pattern.refresh_from_dense(&self.g)? {
-                    match lu.refactorize(symbolic, pattern) {
-                        // Stable frozen pivots: bit-identical to a fresh
-                        // factorisation of the new values.
-                        Ok(true) => return Ok(true),
-                        // Valid frozen-pivot factorisation, but a fresh
-                        // pivot search could differ. Keep it for the
-                        // fill-reducing ordering (KLU behaviour); for
-                        // the natural ordering repivot from scratch so
-                        // the dense bit-compatibility contract holds.
-                        Ok(false) => {
-                            if symbolic.ordering() != SparseOrdering::Natural {
-                                return Ok(true);
-                            }
-                        }
-                        // Frozen pivot order hit a dead pivot on the new
-                        // values: repivot from scratch below.
-                        Err(NumericError::Singular) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                let new_pattern = Csc::from_dense(&self.g);
-                let new_symbolic = Symbolic::analyze(&new_pattern, symbolic.ordering())?;
-                *lu = SparseLu::factorize(&new_symbolic, &new_pattern)?;
-                *pattern = new_pattern;
-                *symbolic = new_symbolic;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Solves the current RHS against a backend factor produced by
-    /// [`MnaBuilder::factor_backend`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates numeric errors (dimension mismatch).
-    pub fn solve_with_factor(&self, factor: &MnaFactor) -> Result<MnaSolution> {
-        let x = match factor {
-            MnaFactor::Dense(lu) => lu.solve(&self.rhs)?,
-            MnaFactor::Sparse { lu, .. } => lu.solve(&self.rhs)?,
-        };
-        Ok(self.unpack(x))
-    }
-
     fn unpack(&self, x: Vec<f64>) -> MnaSolution {
         let mut v = vec![0.0; self.n_nodes];
         v[1..self.n_nodes].copy_from_slice(&x[..self.n_nodes - 1]);
         let i_branch = x[self.n_nodes - 1..].to_vec();
         MnaSolution { v, i_branch }
-    }
-}
-
-/// A reusable factorisation of an assembled MNA matrix, produced by
-/// [`MnaBuilder::factor_backend`].
-///
-/// Sparse factors carry the captured pattern and symbolic plan so that
-/// [`MnaBuilder::refactor`] can refresh the values of an unchanged
-/// pattern in `O(nnz)` — the hot path of transient Newton iteration.
-#[derive(Debug, Clone)]
-pub enum MnaFactor {
-    /// Dense partial-pivoting LU.
-    Dense(Lu),
-    /// Sparse KLU-style factorisation.
-    Sparse {
-        /// Sparsity pattern captured at the last from-scratch
-        /// factorisation.
-        pattern: Csc,
-        /// Symbolic analysis (ordering + block-triangular form) of
-        /// `pattern`.
-        symbolic: Symbolic,
-        /// Current numeric factorisation.
-        lu: SparseLu,
-    },
-}
-
-impl MnaFactor {
-    /// `true` when this factor uses the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, MnaFactor::Sparse { .. })
     }
 }
 
@@ -410,67 +278,6 @@ mod tests {
         b.stamp_current_source(nid(0), nid(1), 2.0);
         let v2 = b.solve_with(&lu).unwrap().voltage(nid(1));
         assert!((v2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backend_factor_solves_bit_identical_to_dense() {
-        let mut b = MnaBuilder::new(3, 1);
-        b.stamp_conductance(nid(1), nid(2), 1e-3);
-        b.stamp_conductance(nid(2), nid(0), 1e-3);
-        b.stamp_branch_incidence(0, nid(1), nid(0));
-        b.set_branch_rhs(0, 1.0);
-        let dense = b.solve().unwrap();
-        let f = b.factor_backend(SolverBackend::SparseNatural).unwrap();
-        assert!(f.is_sparse());
-        let sparse = b.solve_with_factor(&f).unwrap();
-        for (d, s) in dense.v.iter().zip(sparse.v.iter()) {
-            assert_eq!(d.to_bits(), s.to_bits());
-        }
-        for (d, s) in dense.i_branch.iter().zip(sparse.i_branch.iter()) {
-            assert_eq!(d.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn refactor_reuses_sparse_pattern() {
-        let mut b = MnaBuilder::new(3, 1);
-        b.stamp_conductance(nid(1), nid(2), 1e-3);
-        b.stamp_conductance(nid(2), nid(0), 1e-3);
-        b.stamp_branch_incidence(0, nid(1), nid(0));
-        b.set_branch_rhs(0, 1.0);
-        let mut f = b.factor_backend(SolverBackend::SparseNatural).unwrap();
-        // New values, same pattern: fast path.
-        b.clear();
-        b.stamp_conductance(nid(1), nid(2), 2e-3);
-        b.stamp_conductance(nid(2), nid(0), 2e-3);
-        b.stamp_branch_incidence(0, nid(1), nid(0));
-        b.set_branch_rhs(0, 1.0);
-        assert!(b.refactor(&mut f).unwrap());
-        let sol = b.solve_with_factor(&f).unwrap();
-        assert!((sol.voltage(nid(2)) - 0.5).abs() < 1e-12);
-        // Pattern escape (branch moves to node 2, creating matrix
-        // positions absent from the captured pattern): falls back to a
-        // from-scratch factorisation and still solves.
-        b.clear();
-        b.stamp_conductance(nid(1), nid(0), 1e-3);
-        b.stamp_conductance(nid(2), nid(0), 1e-3);
-        b.stamp_branch_incidence(0, nid(2), nid(0));
-        b.set_branch_rhs(0, 1.0);
-        assert!(!b.refactor(&mut f).unwrap());
-        let sol = b.solve_with_factor(&f).unwrap();
-        assert!((sol.voltage(nid(2)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dense_refactor_reports_slow_path() {
-        let mut b = MnaBuilder::new(2, 0);
-        b.stamp_conductance(nid(1), nid(0), 2.0);
-        b.stamp_current_source(nid(0), nid(1), 4.0);
-        let mut f = b.factor_backend(SolverBackend::Auto).unwrap();
-        assert!(!f.is_sparse());
-        assert!(!b.refactor(&mut f).unwrap());
-        let sol = b.solve_with_factor(&f).unwrap();
-        assert!((sol.voltage(nid(1)) - 2.0).abs() < 1e-12);
     }
 
     #[test]

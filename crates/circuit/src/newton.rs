@@ -8,11 +8,11 @@
 //! impractical. The [`crate::lss::LinearizedStateSpaceEngine`] removes
 //! that cost; benchmarks compare the two.
 
-use crate::mna::{MnaBuilder, MnaFactor, MnaSolution};
+use crate::mna::{MnaBuilder, MnaSolution};
 use crate::netlist::{DiodeModel, ElementKind, Netlist, NodeId};
 use crate::probe::{Probe, SimStats, TransientResult};
 use crate::waveform::SourceWaveform;
-use crate::{CircuitError, Result, SolverBackend, TransientConfig};
+use crate::{CircuitError, Result, TransientConfig};
 // lint:allow(D2): wall-clock feeds the reporting-only `wall` duration, never result bytes
 use std::time::Instant;
 
@@ -27,11 +27,6 @@ pub struct NewtonRaphsonEngine {
     pub v_reltol: f64,
     /// Maximum times a failing step is halved before giving up.
     pub max_step_halvings: usize,
-    /// Linear-solver backend for the per-iteration MNA solves. With a
-    /// sparse backend the NR loop captures the Jacobian pattern on the
-    /// first iteration and refactorises new values in `O(nnz)` after
-    /// that (counted in [`SimStats::refactorizations`]).
-    pub backend: SolverBackend,
 }
 
 impl Default for NewtonRaphsonEngine {
@@ -41,7 +36,6 @@ impl Default for NewtonRaphsonEngine {
             v_abstol: 1e-9,
             v_reltol: 1e-6,
             max_step_halvings: 10,
-            backend: SolverBackend::Auto,
         }
     }
 }
@@ -195,9 +189,9 @@ impl Prep {
                     ctrl,
                     trans_ohms,
                 } => {
-                    let ctrl_ind = *ind_slot
-                        .get(ctrl)
-                        .expect("netlist validation guarantees inductor control");
+                    let ctrl_ind = *ind_slot.get(ctrl).ok_or_else(|| {
+                        CircuitError::invalid("CCVS is not controlled by an inductor")
+                    })?;
                     prep.ccvs.push(CcvsDef {
                         branch,
                         plus: *plus,
@@ -363,21 +357,9 @@ impl NewtonRaphsonEngine {
         let mut result = TransientResult::new(probes.iter().map(|p| p.signal_name()).collect());
         let mut stats = SimStats::default();
 
-        // Cached linear-solver factor: with a sparse backend the first
-        // NR iteration factors from scratch and every later iteration
-        // (same Jacobian pattern) only refactorises values.
-        let mut factor: Option<MnaFactor> = None;
-
         // Initial solution (t = 0): solve the resistive snapshot with the
         // initial states frozen, mainly so probes at t = 0 are sensible.
-        let mut sol = self.solve_step(
-            &mut prep,
-            0.0,
-            f64::MIN_POSITIVE,
-            &mut stats,
-            true,
-            &mut factor,
-        )?;
+        let mut sol = self.solve_step(&mut prep, 0.0, f64::MIN_POSITIVE, &mut stats, true)?;
         let vals: Vec<f64> = resolved
             .iter()
             .map(|rp| prep.eval_probe(rp, &sol, 0.0))
@@ -392,7 +374,7 @@ impl NewtonRaphsonEngine {
             if h <= 0.0 {
                 break;
             }
-            sol = self.advance(&mut prep, t0, h, 0, &mut stats, &mut factor)?;
+            sol = self.advance(&mut prep, t0, h, 0, &mut stats)?;
             stats.steps += 1;
             if (k + 1) % cfg.record_stride == 0 || k + 1 == n_steps {
                 let vals: Vec<f64> = resolved
@@ -416,7 +398,6 @@ impl NewtonRaphsonEngine {
         h: f64,
         depth: usize,
         stats: &mut SimStats,
-        factor: &mut Option<MnaFactor>,
     ) -> Result<MnaSolution> {
         // Snapshot states so a failed attempt can be rolled back.
         let snapshot: (Vec<(f64, f64)>, Vec<(f64, f64)>, Vec<f64>) = (
@@ -424,7 +405,7 @@ impl NewtonRaphsonEngine {
             prep.inds.iter().map(|l| (l.i, l.v)).collect(),
             prep.diodes.iter().map(|d| d.v).collect(),
         );
-        match self.solve_step(prep, t0 + h, h, stats, false, factor) {
+        match self.solve_step(prep, t0 + h, h, stats, false) {
             Ok(sol) => Ok(sol),
             Err(CircuitError::NoConvergence { .. }) if depth < self.max_step_halvings => {
                 // Roll back and take two half steps.
@@ -439,8 +420,8 @@ impl NewtonRaphsonEngine {
                 for (d, v) in prep.diodes.iter_mut().zip(&snapshot.2) {
                     d.v = *v;
                 }
-                self.advance(prep, t0, h / 2.0, depth + 1, stats, factor)?;
-                self.advance(prep, t0 + h / 2.0, h / 2.0, depth + 1, stats, factor)
+                self.advance(prep, t0, h / 2.0, depth + 1, stats)?;
+                self.advance(prep, t0 + h / 2.0, h / 2.0, depth + 1, stats)
             }
             Err(e) => Err(e),
         }
@@ -456,7 +437,6 @@ impl NewtonRaphsonEngine {
         h: f64,
         stats: &mut SimStats,
         freeze: bool,
-        factor: &mut Option<MnaFactor>,
     ) -> Result<MnaSolution> {
         // Companion parameters (constant within the step).
         let cap_g: Vec<f64> = prep.caps.iter().map(|c| 2.0 * c.c / h).collect();
@@ -526,22 +506,10 @@ impl NewtonRaphsonEngine {
                 b.stamp_current_source(s.from, s.to, s.wave.eval(t_new));
             }
 
-            let f = match factor.as_mut() {
-                Some(f) => {
-                    if b.refactor(f)? {
-                        stats.refactorizations += 1;
-                    } else {
-                        stats.lu_factorizations += 1;
-                    }
-                    f
-                }
-                None => {
-                    stats.lu_factorizations += 1;
-                    factor.insert(b.factor_backend(self.backend)?)
-                }
-            };
+            stats.lu_factorizations += 1;
+            let lu = b.factor()?;
             stats.lu_solves += 1;
-            let sol = b.solve_with_factor(f)?;
+            let sol = b.solve_with(&lu)?;
 
             // Limit diode voltage updates.
             let mut d_delta: f64 = 0.0;
@@ -577,7 +545,9 @@ impl NewtonRaphsonEngine {
             }
         }
 
-        let sol = last_sol.expect("at least one NR iteration ran");
+        let sol = last_sol.ok_or_else(|| CircuitError::InvalidConfig {
+            message: "newton-raphson needs max_iterations >= 1".into(),
+        })?;
         let converged = {
             // Re-check: if the loop exhausted iterations without meeting
             // tolerance, v_prev equals the last solution so compare the
@@ -754,31 +724,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_bits_and_refactorizes() {
+    fn zero_iteration_budget_is_a_config_error() {
         let nl = rc_netlist(1.0, 1e3, 1e-6);
         let cfg = TransientConfig::new(1e-4, 1e-6).unwrap();
-        let dense = NewtonRaphsonEngine::default()
-            .simulate(&nl, &cfg, &[Probe::node_voltage("out")])
-            .unwrap();
-        let sparse = NewtonRaphsonEngine {
-            backend: SolverBackend::SparseNatural,
+        let err = NewtonRaphsonEngine {
+            max_iterations: 0,
             ..NewtonRaphsonEngine::default()
         }
         .simulate(&nl, &cfg, &[Probe::node_voltage("out")])
-        .unwrap();
-        for (d, s) in dense
-            .signal("v(out)")
-            .unwrap()
-            .iter()
-            .zip(sparse.signal("v(out)").unwrap())
-        {
-            assert_eq!(d.to_bits(), s.to_bits());
-        }
-        // The Jacobian pattern never changes: one from-scratch
-        // factorisation, everything else is the O(nnz) fast path.
-        assert_eq!(sparse.stats.lu_factorizations, 1);
-        assert!(sparse.stats.refactorizations > 0);
-        assert_eq!(dense.stats.refactorizations, 0);
+        .unwrap_err();
+        assert!(matches!(err, CircuitError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

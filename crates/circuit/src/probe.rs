@@ -59,11 +59,8 @@ impl Probe {
 pub struct SimStats {
     /// Accepted time steps.
     pub steps: usize,
-    /// From-scratch LU factorisations performed.
+    /// LU factorisations performed.
     pub lu_factorizations: usize,
-    /// `O(nnz)` sparse refactorisations (symbolic analysis and pivot
-    /// sequence reused; sparse backends only).
-    pub refactorizations: usize,
     /// Triangular solves performed.
     pub lu_solves: usize,
     /// Newton–Raphson iterations across all steps (NR engine only).
@@ -82,10 +79,9 @@ impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "steps: {}, LU factor: {}, refactor: {}, LU solve: {}, NR iters: {}, expm: {}, topo changes: {}, cache hits: {}, wall: {:?}",
+            "steps: {}, LU factor: {}, LU solve: {}, NR iters: {}, expm: {}, topo changes: {}, cache hits: {}, wall: {:?}",
             self.steps,
             self.lu_factorizations,
-            self.refactorizations,
             self.lu_solves,
             self.nr_iterations,
             self.expm_evaluations,

@@ -4,10 +4,6 @@
 //! the workspace relies on:
 //!
 //! * dense linear algebra — [`Matrix`], [`Lu`], [`Qr`], [`Cholesky`];
-//! * sparse linear algebra — [`Csc`] storage, fill-reducing orderings
-//!   and structural analysis ([`amd`]), and the KLU-style
-//!   symbolic/numeric split [`Symbolic`]/[`SparseLu`] with an `O(nnz)`
-//!   [`SparseLu::refactorize`] for repeated same-pattern solves;
 //! * the matrix exponential ([`expm()`]) used by the explicit linearized
 //!   state-space circuit engine;
 //! * ODE integrators ([`ode`]) for reference mechanical simulations;
@@ -39,10 +35,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod amd;
 pub mod cholesky;
 pub mod complex;
-pub mod csc;
 pub mod eigen;
 pub mod expm;
 pub mod interp;
@@ -52,13 +46,11 @@ pub mod ode;
 pub mod poly;
 pub mod qr;
 pub mod rootfind;
-pub mod sparse_lu;
 pub mod stats;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use complex::Complex;
-pub use csc::Csc;
 pub use expm::expm;
 pub use interp::LinearTable;
 pub use lu::Lu;
@@ -66,7 +58,6 @@ pub use matrix::Matrix;
 pub use ode::{FnSystem, OdeSystem, Rk4, Rkf45, Trajectory};
 pub use poly::Polynomial;
 pub use qr::Qr;
-pub use sparse_lu::{SparseLu, Symbolic};
 
 use std::error::Error;
 use std::fmt;

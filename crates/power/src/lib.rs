@@ -31,7 +31,7 @@ pub mod frontend;
 
 pub use batch::BatchPpuSolver;
 
-use ehsim_circuit::{DiodeModel, Netlist, NodeId, SolverBackend};
+use ehsim_circuit::{DiodeModel, Netlist, NodeId};
 use ehsim_numeric::complex::Complex;
 use std::error::Error;
 use std::fmt;
@@ -155,18 +155,9 @@ pub struct PreparedPpu {
     v_d: f64,
     droop_num: f64,
     stage_capacitance: f64,
-    backend: SolverBackend,
 }
 
 impl PreparedPpu {
-    /// Linear-solver backend to use when this PPU is verified at
-    /// circuit level (the [`Multiplier::attach`] ladder simulated by a
-    /// transient engine). The behavioural fixed-point solve itself is
-    /// matrix-free and ignores it.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
     /// Classic CW output droop resistance at excitation frequency `f`.
     pub fn droop_resistance(&self, freq_hz: f64) -> f64 {
         self.droop_num / (freq_hz * self.stage_capacitance)
@@ -327,18 +318,6 @@ impl Multiplier {
     ///
     /// Propagates [`Multiplier::validate`] failures.
     pub fn prepared(&self) -> Result<PreparedPpu> {
-        self.prepared_with_backend(SolverBackend::Auto)
-    }
-
-    /// [`Multiplier::prepared`] with an explicit circuit-level solver
-    /// backend (see [`PreparedPpu::backend`]). The behavioural solve is
-    /// unaffected; the backend only steers circuit-level verification
-    /// of the same multiplier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Multiplier::validate`] failures.
-    pub fn prepared_with_backend(&self, backend: SolverBackend) -> Result<PreparedPpu> {
         self.validate()?;
         let n = self.stages as f64;
         Ok(PreparedPpu {
@@ -346,7 +325,6 @@ impl Multiplier {
             v_d: self.diode.v_fwd,
             droop_num: 2.0 * n * n * n / 3.0 + n * n / 2.0 - n / 6.0,
             stage_capacitance: self.stage_capacitance,
-            backend,
         })
     }
 
@@ -735,25 +713,6 @@ mod tests {
             v_end > 0.8 * ideal && v_end <= ideal + 0.1,
             "v_end = {v_end}, ideal = {ideal}"
         );
-    }
-
-    #[test]
-    fn prepared_backend_defaults_to_auto_and_is_inert() {
-        let m = Multiplier::default();
-        let auto = m.prepared().unwrap();
-        assert_eq!(auto.backend(), SolverBackend::Auto);
-        let sparse = m
-            .prepared_with_backend(SolverBackend::SparseNatural)
-            .unwrap();
-        assert_eq!(sparse.backend(), SolverBackend::SparseNatural);
-        // The behavioural solve is matrix-free: backend choice must not
-        // change a single bit of the operating point.
-        let z = Complex::real(2e3);
-        let a = auto.operating_point(1.5, z, 60.0, 1.0).unwrap();
-        let b = sparse.operating_point(1.5, z, 60.0, 1.0).unwrap();
-        assert_eq!(a.p_store_w.to_bits(), b.p_store_w.to_bits());
-        assert_eq!(a.i_out_a.to_bits(), b.i_out_a.to_bits());
-        assert_eq!(a.v_in_amp.to_bits(), b.v_in_amp.to_bits());
     }
 
     #[test]
