@@ -17,7 +17,7 @@
 //! | D1 | `HashMap`/`HashSet` in result-affecting library code |
 //! | D2 | `Instant`/`SystemTime` outside bench/reporting code |
 //! | D3 | entropy/environment reads in library code |
-//! | D4 | `unwrap`/`expect`/`panic!` in non-test library code |
+//! | D4 | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test library code |
 //! | D5 | float→int `as` casts in solver/kernel hot paths |
 //! | D6 | crate root missing `#![forbid(unsafe_code)]` |
 //!

@@ -19,7 +19,9 @@ pub enum RuleId {
     D2,
     /// Entropy or environment reads in library code.
     D3,
-    /// `unwrap`/`expect`/`panic!` in non-test library code.
+    /// `unwrap`/`expect` and the panicking macros (`panic!`,
+    /// `unreachable!`, `todo!`, `unimplemented!`) in non-test library
+    /// code.
     D4,
     /// Float→int `as` casts in solver/kernel hot paths.
     D5,
@@ -80,8 +82,8 @@ impl RuleId {
                  library code: all randomness must flow from an explicit seed"
             }
             RuleId::D4 => {
-                "unwrap/expect/panic! in non-test library code: fallible paths must \
-                 surface typed errors, not abort"
+                "unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test \
+                 library code: fallible paths must surface typed errors, not abort"
             }
             RuleId::D5 => {
                 "float->int `as` cast in a solver/kernel hot path: truncation hides \
@@ -326,15 +328,15 @@ pub fn scan(tokens: &[Token], in_test: &[bool], class: &FileClass) -> Vec<RawFin
                     push(RuleId::D3, "`env::var`".into());
                 }
             }
-            "unwrap" | "expect" => {
-                if prev(1).is_some_and(|p| p.kind == TokenKind::Punct && p.text == ".") {
-                    push(RuleId::D4, format!("`.{}()`", t.text));
-                }
+            "unwrap" | "expect"
+                if prev(1).is_some_and(|p| p.kind == TokenKind::Punct && p.text == ".") =>
+            {
+                push(RuleId::D4, format!("`.{}()`", t.text));
             }
-            "panic" => {
-                if next(1).is_some_and(|n| n.kind == TokenKind::Punct && n.text == "!") {
-                    push(RuleId::D4, "`panic!`".into());
-                }
+            "panic" | "unreachable" | "todo" | "unimplemented"
+                if next(1).is_some_and(|n| n.kind == TokenKind::Punct && n.text == "!") =>
+            {
+                push(RuleId::D4, format!("`{}!`", t.text));
             }
             "as" => {
                 if let Some(n) = next(1) {

@@ -32,6 +32,24 @@ fn every_rule_fires_on_the_violations_tree() {
         .findings
         .iter()
         .any(|f| f.rule == RuleId::D5 && f.file == "crates/numeric/src/kernel.rs"));
+    // D4 catches every panicking call form, macros included.
+    let mut d4: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == RuleId::D4)
+        .map(|f| f.what.as_str())
+        .collect();
+    d4.sort_unstable();
+    assert_eq!(
+        d4,
+        [
+            "`.unwrap()`",
+            "`panic!`",
+            "`todo!`",
+            "`unimplemented!`",
+            "`unreachable!`"
+        ]
+    );
 }
 
 #[test]

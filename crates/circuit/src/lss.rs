@@ -566,7 +566,11 @@ impl LssPrep {
                         vrow[col_idx] = self.eval_output(vs, &sol, col, mask, &diode_i, col_idx);
                         irow[col_idx] = self.eval_output(is, &sol, col, mask, &diode_i, col_idx);
                     }
-                    _ => unreachable!("probe row shape matches spec"),
+                    _ => {
+                        return Err(CircuitError::invalid(
+                            "probe row shape does not match its probe spec",
+                        ))
+                    }
                 }
             }
         }

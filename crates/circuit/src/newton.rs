@@ -279,12 +279,12 @@ impl Prep {
                     };
                     if let Some(cur) = current {
                         return Ok(match probe {
-                            Probe::ElementCurrent(_) => cur,
                             Probe::ElementVoltage(_) => ResolvedProbe::Voltage(terms.0, terms.1),
                             Probe::ElementPower(_) => {
                                 ResolvedProbe::Power(Box::new(cur), terms.0, terms.1)
                             }
-                            Probe::NodeVoltage(_) => unreachable!("handled above"),
+                            // Node voltages were resolved by the outer match.
+                            Probe::ElementCurrent(_) | Probe::NodeVoltage(_) => cur,
                         });
                     }
                 }

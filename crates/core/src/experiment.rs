@@ -507,7 +507,7 @@ fn run_jobs<T: Send>(
     job: impl Fn(usize) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
     let threads = threads.clamp(1, n_jobs.max(1));
     if threads == 1 {
@@ -539,18 +539,23 @@ fn run_jobs<T: Send>(
                 if r.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
-                *slots[j].lock().expect("result slot poisoned") = Some(r);
+                *slots[j].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     });
     let mut out = Vec::with_capacity(n_jobs);
     for slot in slots {
-        match slot.into_inner().expect("result slot poisoned") {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
             // Slots are claimed as a contiguous prefix, so an unclaimed
-            // slot can only sit behind a failing one.
-            None => unreachable!("unclaimed job slot implies an earlier error"),
+            // slot can only sit behind a failing one (or a worker that
+            // died before writing its result back).
+            None => {
+                return Err(CoreError::invalid(
+                    "job slot left unclaimed by a failed worker",
+                ))
+            }
         }
     }
     Ok(out)

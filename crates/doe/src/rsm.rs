@@ -73,7 +73,11 @@ impl ResponseSurface {
                             bmat[(active[0], active[1])] = coef / 2.0;
                             bmat[(active[1], active[0])] = coef / 2.0;
                         }
-                        _ => unreachable!("degree-2 term has 1 or 2 active factors"),
+                        n => {
+                            return Err(DoeError::invalid(format!(
+                                "degree-2 term with {n} active factors"
+                            )))
+                        }
                     }
                 }
                 d => {

@@ -46,13 +46,18 @@
 //! are computed once and never repaired, making it the static
 //! baseline route repair is measured against.
 //!
-//! Node trajectories are independent of the run duration tick for
-//! tick (the vibration sources are pure functions of time), so each
-//! epoch boundary snapshot is an *exact prefix* of the full run and
-//! per-epoch deltas are exact — at `route_epochs = 1` the whole
-//! machinery collapses, bit for bit, to the original
+//! The node phase runs **once** per fleet run and is snapshotted at
+//! every epoch boundary ([`PreparedSimulator::run_checkpoints`],
+//! [`BatchSimulator::run_lanes_with_sources`]). The tick loop never
+//! reads the run's duration (the vibration sources are pure functions
+//! of time), so a boundary snapshot is bit-identical to a fresh run of
+//! that prefix and per-epoch deltas are exact — at `route_epochs = 1`
+//! the whole machinery collapses, bit for bit, to the original
 //! single-accounting-pass fleet run (pinned by
-//! `tests/fleet_equivalence.rs`).
+//! `tests/fleet_equivalence.rs`). `E` epochs cost one node phase and
+//! `E` accounting passes; a run-time node failure is reported for the
+//! earliest epoch in which any node fails, at the smallest failing node
+//! within it.
 //!
 //! The network phase is plain sequential float arithmetic in a fixed
 //! order, so the full [`FleetMetrics`] record inherits the node
@@ -237,12 +242,13 @@ pub struct FleetSpec {
     pub solver: SolverMode,
     /// Simulated duration (s).
     pub duration_s: f64,
-    /// Number of route epochs the run is sliced into (≥ 1). At 1 the
-    /// run reproduces the original static-routing accounting bit for
-    /// bit; larger values buy mid-run route repair around browned-out
-    /// relays at the cost of re-simulating prefixes of the node phase
-    /// (the node simulators are snapshot-free, so epoch `e` re-runs
-    /// ticks `0..t_e` — roughly `(E+1)/2` node phases for `E` epochs).
+    /// Number of route epochs the run is sliced into, from 1 up to the
+    /// run's tick count at the fleet's largest `tick_s`. At 1 the run
+    /// reproduces the original static-routing accounting bit for bit;
+    /// larger values buy mid-run route repair around browned-out
+    /// relays. The node phase still runs once — it is snapshotted at
+    /// every epoch boundary — so `E` epochs cost one node phase plus
+    /// `E` accounting passes, and `E × n` snapshots of memory.
     pub route_epochs: usize,
     /// What to do when an epoch's routing leaves nodes stranded.
     pub on_partition: PartitionPolicy,
@@ -412,8 +418,9 @@ impl FleetSimulator {
     /// # Errors
     ///
     /// [`NetError::InvalidParameter`] for an empty fleet, a
-    /// non-positive payload, an invalid duration, zero route epochs,
-    /// an invalid topology, or an environment-factory failure
+    /// non-positive payload, an invalid duration, zero route epochs or
+    /// more route epochs than the run has ticks at the fleet's largest
+    /// `tick_s`, an invalid topology, or an environment-factory failure
     /// (smallest failing node); [`NetError::Node`] (smallest failing
     /// index) if a node config fails preparation.
     pub fn prepare(spec: FleetSpec, threads: usize) -> Result<Self> {
@@ -453,6 +460,20 @@ impl FleetSimulator {
             let (p, s) = r?;
             prepared.push(p);
             sources.push(s);
+        }
+        // Every epoch must span at least one tick of the coarsest-ticking
+        // node; more epochs would only add empty audits and snapshots.
+        let max_tick_s = prepared
+            .iter()
+            .map(|p| p.config().tick_s)
+            .fold(0.0, f64::max);
+        let run_ticks = (spec.duration_s / max_tick_s).round().max(1.0);
+        if spec.route_epochs as f64 > run_ticks {
+            return Err(NetError::invalid(format!(
+                "route_epochs = {} exceeds the run's {run_ticks} ticks at its largest \
+                 tick_s = {max_tick_s} s",
+                spec.route_epochs
+            )));
         }
         let positions: Vec<Point> = spec.nodes.iter().map(|n| n.position).collect();
         let topology = Topology::new(positions, spec.sink, spec.range_m)?;
@@ -513,19 +534,38 @@ impl FleetSimulator {
         threads: usize,
         dispatch: Dispatch,
     ) -> Result<Vec<ehsim_node::Result<NodeMetrics>>> {
-        self.run_nodes_for(threads, dispatch, self.spec.duration_s)
+        self.run_nodes_at(threads, dispatch, &[self.spec.duration_s])?
+            .pop()
+            .ok_or_else(|| NetError::invalid("node phase took no snapshot"))
     }
 
-    /// Phase 1 truncated to `duration_s` — the epoch loop runs this at
-    /// every epoch boundary. Node trajectories depend only on the tick
-    /// index (sources are pure in time), so a shorter run is an exact
-    /// prefix of a longer one, on either dispatch path.
-    fn run_nodes_for(
+    /// End time (s) of every route epoch, in order. The last is
+    /// `duration_s` itself — not `duration_s·E/E`, which need not
+    /// round to the same bits.
+    fn epoch_ends(&self) -> Vec<f64> {
+        let epochs = self.spec.route_epochs;
+        (1..=epochs)
+            .map(|e| {
+                if e == epochs {
+                    self.spec.duration_s
+                } else {
+                    self.spec.duration_s * e as f64 / epochs as f64
+                }
+            })
+            .collect()
+    }
+
+    /// Phase 1, run once to the last of `checkpoints` (nondecreasing
+    /// durations) with every node snapshotted at each; indexed
+    /// `[checkpoint][node]`. A node's snapshot at a checkpoint is
+    /// bit-identical to a fresh run of that duration on either
+    /// dispatch path (see [`PreparedSimulator::run_checkpoints`]).
+    fn run_nodes_at(
         &self,
         threads: usize,
         dispatch: Dispatch,
-        duration_s: f64,
-    ) -> Result<Vec<ehsim_node::Result<NodeMetrics>>> {
+        checkpoints: &[f64],
+    ) -> Result<Vec<Vec<ehsim_node::Result<NodeMetrics>>>> {
         let batched = match dispatch {
             Dispatch::Auto => self.homogeneous,
             Dispatch::PerSim => false,
@@ -539,10 +579,12 @@ impl FleetSimulator {
             }
         };
         let n = self.prepared.len();
+        let mut snapshots: Vec<Vec<_>> =
+            checkpoints.iter().map(|_| Vec::with_capacity(n)).collect();
         if batched {
             // Contiguous chunks, one batch kernel per chunk. The chunk
             // width depends only on (n, threads) and results are
-            // collected in chunk order, so the flattened output is
+            // collected in chunk order, so the node-ordered output is
             // invariant to scheduling.
             let width = n.div_ceil(threads.clamp(1, n)).clamp(1, MAX_BATCH_WIDTH);
             let n_chunks = n.div_ceil(width);
@@ -554,15 +596,27 @@ impl FleetSimulator {
                 let srcs: Vec<&dyn VibrationSource> =
                     self.sources[lo..hi].iter().map(|s| s.as_ref()).collect();
                 batch
-                    .run_lanes_with_sources(&srcs, duration_s)
+                    .run_lanes_with_sources(&srcs, checkpoints)
                     .map_err(|source| NetError::Node { node: lo, source })
             })?;
-            Ok(chunks.into_iter().flatten().collect())
+            for chunk in chunks {
+                for (snapshot, lanes) in snapshots.iter_mut().zip(chunk) {
+                    snapshot.extend(lanes);
+                }
+            }
         } else {
-            run_jobs(n, threads, |i| {
-                Ok(self.prepared[i].run(self.sources[i].as_ref(), duration_s))
-            })
+            let nodes = run_jobs(n, threads, |i| {
+                self.prepared[i]
+                    .run_checkpoints(self.sources[i].as_ref(), checkpoints)
+                    .map_err(|source| NetError::Node { node: i, source })
+            })?;
+            for node in nodes {
+                for (snapshot, lane) in snapshots.iter_mut().zip(node) {
+                    snapshot.push(lane);
+                }
+            }
         }
+        Ok(snapshots)
     }
 
     /// Runs the fleet with auto dispatch.
@@ -583,20 +637,14 @@ impl FleetSimulator {
     /// [`NetError::InvalidParameter`] for a forced-batched dispatch of
     /// a heterogeneous fleet.
     pub fn run_with_dispatch(&self, threads: usize, dispatch: Dispatch) -> Result<FleetOutcome> {
-        let epochs = self.spec.route_epochs;
-        // One node-phase snapshot per epoch boundary. Each snapshot is
-        // an exact prefix of the full run (sources are pure in time),
-        // so per-epoch deltas in the accounting pass are exact. The
-        // final boundary is `duration_s` itself — not
-        // `duration_s·E/E`, which need not round to the same bits.
-        let mut snapshots: Vec<Vec<NodeMetrics>> = Vec::with_capacity(epochs);
-        for e in 1..=epochs {
-            let t_end = if e == epochs {
-                self.spec.duration_s
-            } else {
-                self.spec.duration_s * e as f64 / epochs as f64
-            };
-            let lanes = self.run_nodes_for(threads, dispatch, t_end)?;
+        // One node phase, snapshotted at every epoch boundary. Each
+        // snapshot is bit-identical to a fresh run of that epoch's
+        // prefix, so per-epoch deltas in the accounting pass are exact.
+        // Failures surface epoch-major: the earliest epoch with a
+        // failing node wins, then the smallest node within it.
+        let ends = self.epoch_ends();
+        let mut snapshots: Vec<Vec<NodeMetrics>> = Vec::with_capacity(ends.len());
+        for lanes in self.run_nodes_at(threads, dispatch, &ends)? {
             let mut snap = Vec::with_capacity(lanes.len());
             for (i, lane) in lanes.into_iter().enumerate() {
                 match lane {
@@ -606,7 +654,7 @@ impl FleetSimulator {
             }
             snapshots.push(snap);
         }
-        let (net, metrics) = self.network_accounting(&snapshots)?;
+        let (net, metrics) = self.network_accounting(&ends, &snapshots)?;
         let Some(per_node) = snapshots.pop() else {
             // route_epochs ≥ 1 is validated at prep; unreachable.
             return Err(NetError::invalid("fleet run produced no snapshots"));
@@ -620,8 +668,8 @@ impl FleetSimulator {
 
     /// The network phase: a sequential energy-accounting pass per
     /// route epoch over the node-phase boundary snapshots
-    /// (`snapshots[e]` = every node's metrics at the end of epoch
-    /// `e`; the last snapshot is the full run).
+    /// (`snapshots[e]` = every node's metrics at `ends[e]`, the end of
+    /// epoch `e`; the last snapshot is the full run).
     ///
     /// With one snapshot this is exactly the original single-pass
     /// accounting — every epoch-generalised expression reduces bit
@@ -629,6 +677,7 @@ impl FleetSimulator {
     /// `tests/fleet_equivalence.rs`).
     fn network_accounting(
         &self,
+        ends: &[f64],
         snapshots: &[Vec<NodeMetrics>],
     ) -> Result<(Vec<NodeNetStats>, FleetMetrics)> {
         let Some(per_node) = snapshots.last() else {
@@ -674,12 +723,7 @@ impl FleetSimulator {
         let mut last_paths: Vec<Option<Vec<usize>>> = Vec::new();
         let mut last_headroom = vec![0.0f64; n];
 
-        for (e, snap) in snapshots.iter().enumerate() {
-            let t_end = if e + 1 == epochs {
-                duration_s
-            } else {
-                duration_s * (e + 1) as f64 / epochs as f64
-            };
+        for (e, (snap, &t_end)) in snapshots.iter().zip(ends).enumerate() {
             // Brown-outs are cumulative (each snapshot is a prefix of
             // the next), so `browned` only ever grows across epochs.
             let browned: Vec<bool> = snap.iter().map(|m| m.brownout_count > 0).collect();
@@ -975,5 +1019,28 @@ mod tests {
         let mut spec = tiny_spec(3, 10.0);
         spec.duration_s = f64::INFINITY;
         assert!(FleetSimulator::new(spec).is_err());
+
+        // Route epochs run from 1 to the tick count at the largest
+        // tick_s: 10 s at 0.5 s is 20 ticks.
+        let epochs_ok = |epochs: usize, coarse_tick_s: Option<f64>| {
+            let mut spec = tiny_spec(3, 10.0);
+            spec.route_epochs = epochs;
+            if let Some(tick_s) = coarse_tick_s {
+                spec.nodes[1].config.tick_s = tick_s;
+            }
+            match FleetSimulator::new(spec) {
+                Ok(_) => true,
+                Err(NetError::InvalidParameter { .. }) => false,
+                Err(other) => panic!("{epochs} epochs: unexpected error {other:?}"),
+            }
+        };
+        assert!(!epochs_ok(0, None));
+        assert!(epochs_ok(20, None));
+        assert!(!epochs_ok(21, None));
+        assert!(!epochs_ok(100_000, None));
+        assert!(!epochs_ok(usize::MAX, None));
+        // One node on a 1 s tick leaves the run 10 ticks.
+        assert!(epochs_ok(10, Some(1.0)));
+        assert!(!epochs_ok(11, Some(1.0)));
     }
 }

@@ -31,19 +31,37 @@
 //! `ehsim-core` campaigns dispatch homogeneous job groups to the batch
 //! kernel without perturbing a single CSV byte.
 //!
+//! # Checkpoints
+//!
+//! [`BatchSimulator::run_lanes_with_sources`] runs the batch once to
+//! the last of a nondecreasing list of checkpoint durations and
+//! snapshots every lane at each, so a caller that needs the metrics at
+//! several horizons pays for one run instead of one per horizon. The
+//! tick loop never reads the run's duration — a shorter run is an
+//! exact prefix of a longer one — so snapshot `[c][i]` is bit-identical
+//! to running lane `i` alone for `checkpoints[c]` seconds. The loop
+//! runs in segments between checkpoints and finalises the snapshots
+//! between segments; the tick body carries no checkpoint test. The
+//! single-duration entry points are one-checkpoint calls of the same
+//! loop.
+//!
 //! # Error contract
 //!
 //! A lane that fails mid-run (sub-model error or task-schedule
 //! saturation) is retired from the batch at the failing tick with the
 //! exact error the per-sim path would have returned; surviving lanes
-//! are unaffected. [`BatchSimulator::run`] then fails with the error of
-//! the **smallest failing lane index**, matching the campaign
-//! scheduler's smallest-failing-job contract, while
-//! [`BatchSimulator::run_lanes`] exposes the full per-lane
-//! `Result` vector.
+//! are unaffected. A lane that fails at tick `j` is `Ok` at every
+//! checkpoint of at most `j` ticks and a clone of its error at every
+//! later one. [`BatchSimulator::run`] fails with the error of the
+//! **smallest failing lane index**, matching the campaign scheduler's
+//! smallest-failing-job contract, while [`BatchSimulator::run_lanes`]
+//! exposes the full per-lane `Result` vector.
 
 use crate::policy::DutyCyclePolicy;
-use crate::sim::{task_saturation_error, tick_count, NodeMetrics, PreparedSimulator, SolverMode};
+use crate::sim::{
+    checkpoint_ticks, task_saturation_error, tick_count, NodeMetrics, PreparedSimulator,
+    SolverMode, Tally,
+};
 use crate::tuning::TuningController;
 use crate::{NodeConfig, NodeError, Result};
 use ehsim_harvester::{PreparedHarvester, TuningParams};
@@ -209,21 +227,28 @@ impl BatchSimulator {
         source: &dyn VibrationSource,
         duration_s: f64,
     ) -> Result<Vec<Result<NodeMetrics>>> {
-        self.run_inner(SourceBind::Shared(source), duration_s)
+        let ticks = [tick_count(duration_s, self.dt)?];
+        self.run_inner(SourceBind::Shared(source), &ticks, &mut Vec::new())
     }
 
-    /// [`BatchSimulator::run_lanes`] with one source per lane
-    /// (`sources[i]` excites lane `i`).
+    /// Runs every lane against its own source (`sources[i]` excites
+    /// lane `i`) once, to the last of `checkpoints` — run durations
+    /// (s), nondecreasing — and snapshots every lane at each. The
+    /// result is indexed `[checkpoint][lane]`, and entry `[c][i]` is
+    /// bit-identical to running lane `i` alone for `checkpoints[c]`
+    /// seconds (see the module docs for the checkpoint contract).
     ///
     /// # Errors
     ///
     /// [`NodeError::InvalidParameter`] if `sources.len()` differs from
-    /// the batch width, or for an invalid duration.
+    /// the batch width, or for an empty, decreasing or invalid
+    /// checkpoint list (each checkpoint is checked as a duration);
+    /// per-lane failures are inside the returned vectors.
     pub fn run_lanes_with_sources(
         &self,
         sources: &[&dyn VibrationSource],
-        duration_s: f64,
-    ) -> Result<Vec<Result<NodeMetrics>>> {
+        checkpoints: &[f64],
+    ) -> Result<Vec<Vec<Result<NodeMetrics>>>> {
         if sources.len() != self.lanes.len() {
             return Err(NodeError::invalid(format!(
                 "got {} sources for {} lanes",
@@ -231,13 +256,25 @@ impl BatchSimulator {
                 self.lanes.len()
             )));
         }
-        self.run_inner(SourceBind::PerLane(sources), duration_s)
+        let ticks = checkpoint_ticks(checkpoints, self.dt)?;
+        let mut snapshots = Vec::with_capacity(ticks.len());
+        let last = self.run_inner(SourceBind::PerLane(sources), &ticks, &mut snapshots)?;
+        snapshots.push(last);
+        Ok(snapshots)
     }
 
-    fn run_inner(&self, bind: SourceBind<'_>, duration_s: f64) -> Result<Vec<Result<NodeMetrics>>> {
+    /// The tick loop, run in segments: after `ticks[c]` ticks (a
+    /// validated, nondecreasing list) it snapshots every lane. Every
+    /// snapshot but the last is pushed onto `earlier`; the last is
+    /// returned.
+    fn run_inner(
+        &self,
+        bind: SourceBind<'_>,
+        ticks: &[usize],
+        earlier: &mut Vec<Vec<Result<NodeMetrics>>>,
+    ) -> Result<Vec<Result<NodeMetrics>>> {
         let w = self.lanes.len();
         let dt = self.dt;
-        let n_ticks = tick_count(duration_s, dt)?;
         let warm = self.mode == SolverMode::Warm;
 
         let consts: Vec<LaneConst> = self.lanes.iter().map(LaneConst::from_prepared).collect();
@@ -312,250 +349,254 @@ impl BatchSimulator {
         let mut ok = vec![false; w];
         let mut solver = BatchPpuSolver::new();
 
-        for k in 0..n_ticks {
-            if n_alive == 0 {
-                break;
-            }
-            let t = k as f64 * dt;
-            match bind {
-                SourceBind::Shared(source) => {
-                    let env = source.envelope(t);
-                    for i in 0..w {
-                        env_f[i] = env.freq_hz;
-                        env_a[i] = env.amp;
-                    }
+        let mut k_done = 0;
+        for (cp, &k_end) in ticks.iter().enumerate() {
+            for k in k_done..k_end {
+                if n_alive == 0 {
+                    break;
                 }
-                SourceBind::PerLane(sources) => {
-                    for i in 0..w {
-                        if alive[i] {
-                            let env = sources[i].envelope(t);
+                let t = k as f64 * dt;
+                match bind {
+                    SourceBind::Shared(source) => {
+                        let env = source.envelope(t);
+                        for i in 0..w {
                             env_f[i] = env.freq_hz;
                             env_a[i] = env.amp;
                         }
                     }
-                }
-            }
-
-            // Phase 1 — actuator motion, Thevenin memo, solve inputs.
-            for i in 0..w {
-                solve_active[i] = false;
-                if !alive[i] {
-                    continue;
-                }
-                let c = &consts[i];
-                if act_active[i] {
-                    if t >= act_t1[i] {
-                        pos[i] = act_target[i];
-                        act_active[i] = false;
-                    } else {
-                        let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
-                        pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
-                    }
-                }
-                let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
-                if !thev_primed[i] || key != thev_key[i] {
-                    match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
-                        Ok((voc, z)) => {
-                            thev_voc[i] = voc;
-                            thev_z[i] = z;
-                            thev_key[i] = key;
-                            thev_primed[i] = true;
-                        }
-                        Err(e) => {
-                            alive[i] = false;
-                            n_alive -= 1;
-                            err[i] = Some(NodeError::Model(e.to_string()));
-                            continue;
-                        }
-                    }
-                }
-                in_voc[i] = thev_voc[i];
-                in_z[i] = thev_z[i];
-                in_vst[i] = v[i];
-                in_seed[i] = if warm { prev_v_pk[i] } else { f64::NAN };
-                solve_active[i] = true;
-            }
-
-            // Phase 2 — all lanes' PPU fixed points, in lock-step.
-            solver.solve(
-                &ppus,
-                &in_voc,
-                &in_z,
-                &env_f,
-                &in_vst,
-                &in_seed,
-                &solve_active,
-                &mut ops,
-                &mut ok,
-            );
-
-            // Phase 3 — policy, consumption, storage, thresholds.
-            for i in 0..w {
-                if !solve_active[i] {
-                    continue;
-                }
-                let c = &consts[i];
-                if !ok[i] {
-                    // Recover the scalar path's exact error message on
-                    // the (cold) failure path.
-                    let e = match c
-                        .ppu
-                        .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
-                    {
-                        Err(e) => e,
-                        Ok(_) => unreachable!("batched solve flagged invalid inputs"),
-                    };
-                    alive[i] = false;
-                    n_alive -= 1;
-                    err[i] = Some(NodeError::Model(e.to_string()));
-                    continue;
-                }
-                let op = ops[i];
-                prev_v_pk[i] = op.v_in_amp;
-                let p_in = op.p_store_w;
-                if !ema_primed[i] {
-                    ema[i] = p_in;
-                    ema_primed[i] = true;
-                } else {
-                    ema[i] = c.duty.update_ema(ema[i], p_in);
-                }
-
-                let policy_action = c.energy_policy.act(
-                    &mut pstate[i],
-                    &PolicyObs {
-                        t_s: t,
-                        dt_s: dt,
-                        v_store: v[i],
-                        v_on: c.thresholds.v_on,
-                        v_off: c.thresholds.v_off,
-                        p_harvest_w: p_in,
-                        nominal_period_s: c.task_period_s,
-                        p_idle_w: c.p_sleep_in,
-                        e_cycle_j: c.e_cycle_in,
-                        running: running[i],
-                    },
-                );
-
-                let mut e_tick = 0.0f64;
-                if running[i] {
-                    e_tick += c.p_sleep_in * dt;
-
-                    let mut fires: u64 = 0;
-                    let mut saturated = false;
-                    while next_task_t[i] <= t {
-                        if fires >= c.max_fires_per_tick {
-                            saturated = true;
-                            break;
-                        }
-                        if !policy_action.skip_fire {
-                            e_tick += c.e_cycle_in;
-                            packets[i] += 1;
-                            if first_packet[i].is_none() {
-                                first_packet[i] = Some(t);
+                    SourceBind::PerLane(sources) => {
+                        for i in 0..w {
+                            if alive[i] {
+                                let env = sources[i].envelope(t);
+                                env_f[i] = env.freq_hz;
+                                env_a[i] = env.amp;
                             }
                         }
-                        let period = c.duty.period_s(
-                            c.task_period_s,
-                            v[i],
-                            c.thresholds.v_on,
-                            c.thresholds.v_off,
-                            ema[i],
-                            c.p_sleep_in,
-                            c.e_cycle_in,
-                        ) * policy_action.period_scale;
-                        next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
-                        fires += 1;
                     }
-                    if saturated {
-                        alive[i] = false;
-                        n_alive -= 1;
-                        err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
+                }
+
+                // Phase 1 — actuator motion, Thevenin memo, solve inputs.
+                for i in 0..w {
+                    solve_active[i] = false;
+                    if !alive[i] {
                         continue;
                     }
-
-                    if c.tuning.enabled && t >= next_check_t[i] {
-                        e_tick += c.e_measure_in;
-                        measurements[i] += 1;
-                        next_check_t[i] = t + c.tuning.check_interval_s;
-                        if !act_active[i] {
-                            let resonance = c.harv.resonant_frequency(pos[i]);
-                            if let Some(target) = c.tuning.decide(
-                                env_f[i],
-                                resonance,
-                                |f| c.harv.position_for_frequency(f),
-                                pos[i],
-                            ) {
-                                let move_time = c.tuning_params.tuning_time_s(pos[i], target);
-                                act_start[i] = pos[i];
-                                act_target[i] = target;
-                                act_t0[i] = t;
-                                act_t1[i] = t + move_time;
-                                act_active[i] = true;
-                                retunes[i] += 1;
+                    let c = &consts[i];
+                    if act_active[i] {
+                        if t >= act_t1[i] {
+                            pos[i] = act_target[i];
+                            act_active[i] = false;
+                        } else {
+                            let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
+                            pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
+                        }
+                    }
+                    let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
+                    if !thev_primed[i] || key != thev_key[i] {
+                        match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
+                            Ok((voc, z)) => {
+                                thev_voc[i] = voc;
+                                thev_z[i] = z;
+                                thev_key[i] = key;
+                                thev_primed[i] = true;
+                            }
+                            Err(e) => {
+                                alive[i] = false;
+                                n_alive -= 1;
+                                err[i] = Some(NodeError::Model(e.to_string()));
+                                continue;
                             }
                         }
                     }
+                    in_voc[i] = thev_voc[i];
+                    in_z[i] = thev_z[i];
+                    in_vst[i] = v[i];
+                    in_seed[i] = if warm { prev_v_pk[i] } else { f64::NAN };
+                    solve_active[i] = true;
+                }
 
-                    if act_active[i] {
-                        e_tick += c.e_act_tick;
-                        tuning_energy[i] += c.e_act_tick;
+                // Phase 2 — all lanes' PPU fixed points, in lock-step.
+                solver.solve(
+                    &ppus,
+                    &in_voc,
+                    &in_z,
+                    &env_f,
+                    &in_vst,
+                    &in_seed,
+                    &solve_active,
+                    &mut ops,
+                    &mut ok,
+                );
+
+                // Phase 3 — policy, consumption, storage, thresholds.
+                for i in 0..w {
+                    if !solve_active[i] {
+                        continue;
                     }
-                }
-
-                let p_out = e_tick / dt;
-                let (v_next, e_in) = c
-                    .storage
-                    .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
-                v[i] = v_next;
-                harvested[i] += e_in;
-                consumed[i] += e_tick;
-
-                let was_running = running[i];
-                running[i] = c.thresholds.update(v[i], running[i]);
-                if was_running && !running[i] {
-                    brownouts[i] += 1;
-                    act_active[i] = false;
-                }
-                if !was_running && running[i] {
-                    next_task_t[i] = t + dt;
-                    next_check_t[i] = t + dt;
-                    ever_on[i] = true;
-                }
-                if running[i] {
-                    uptime_ticks[i] += 1;
-                    ever_on[i] = true;
-                }
-                if ever_on[i] {
-                    min_v_after_on[i] = min_v_after_on[i].min(v[i]);
-                }
-                min_v[i] = min_v[i].min(v[i]);
-            }
-        }
-
-        let duration = n_ticks as f64 * dt;
-        Ok((0..w)
-            .map(|i| match err[i].take() {
-                Some(e) => Err(e),
-                None => Ok(NodeMetrics {
-                    duration_s: duration,
-                    packets_delivered: packets[i],
-                    uptime_fraction: uptime_ticks[i] as f64 / n_ticks as f64,
-                    brownout_count: brownouts[i],
-                    retune_count: retunes[i],
-                    measurement_count: measurements[i],
-                    tuning_energy_j: tuning_energy[i],
-                    harvested_energy_j: harvested[i],
-                    consumed_energy_j: consumed[i],
-                    min_v_store: if min_v_after_on[i].is_finite() {
-                        min_v_after_on[i]
+                    let c = &consts[i];
+                    if !ok[i] {
+                        // Recover the scalar path's exact error message on
+                        // the (cold) failure path.
+                        let message = match c
+                            .ppu
+                            .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
+                        {
+                            Err(e) => e.to_string(),
+                            Ok(_) => "batched PPU solve rejected inputs the scalar solve accepts"
+                                .to_string(),
+                        };
+                        alive[i] = false;
+                        n_alive -= 1;
+                        err[i] = Some(NodeError::Model(message));
+                        continue;
+                    }
+                    let op = ops[i];
+                    prev_v_pk[i] = op.v_in_amp;
+                    let p_in = op.p_store_w;
+                    if !ema_primed[i] {
+                        ema[i] = p_in;
+                        ema_primed[i] = true;
                     } else {
-                        min_v[i]
-                    },
-                    final_v_store: v[i],
-                    avg_harvest_power_w: harvested[i] / duration,
-                    time_to_first_packet_s: first_packet[i],
-                }),
-            })
-            .collect())
+                        ema[i] = c.duty.update_ema(ema[i], p_in);
+                    }
+
+                    let policy_action = c.energy_policy.act(
+                        &mut pstate[i],
+                        &PolicyObs {
+                            t_s: t,
+                            dt_s: dt,
+                            v_store: v[i],
+                            v_on: c.thresholds.v_on,
+                            v_off: c.thresholds.v_off,
+                            p_harvest_w: p_in,
+                            nominal_period_s: c.task_period_s,
+                            p_idle_w: c.p_sleep_in,
+                            e_cycle_j: c.e_cycle_in,
+                            running: running[i],
+                        },
+                    );
+
+                    let mut e_tick = 0.0f64;
+                    if running[i] {
+                        e_tick += c.p_sleep_in * dt;
+
+                        let mut fires: u64 = 0;
+                        let mut saturated = false;
+                        while next_task_t[i] <= t {
+                            if fires >= c.max_fires_per_tick {
+                                saturated = true;
+                                break;
+                            }
+                            if !policy_action.skip_fire {
+                                e_tick += c.e_cycle_in;
+                                packets[i] += 1;
+                                if first_packet[i].is_none() {
+                                    first_packet[i] = Some(t);
+                                }
+                            }
+                            let period = c.duty.period_s(
+                                c.task_period_s,
+                                v[i],
+                                c.thresholds.v_on,
+                                c.thresholds.v_off,
+                                ema[i],
+                                c.p_sleep_in,
+                                c.e_cycle_in,
+                            ) * policy_action.period_scale;
+                            next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
+                            fires += 1;
+                        }
+                        if saturated {
+                            alive[i] = false;
+                            n_alive -= 1;
+                            err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
+                            continue;
+                        }
+
+                        if c.tuning.enabled && t >= next_check_t[i] {
+                            e_tick += c.e_measure_in;
+                            measurements[i] += 1;
+                            next_check_t[i] = t + c.tuning.check_interval_s;
+                            if !act_active[i] {
+                                let resonance = c.harv.resonant_frequency(pos[i]);
+                                if let Some(target) = c.tuning.decide(
+                                    env_f[i],
+                                    resonance,
+                                    |f| c.harv.position_for_frequency(f),
+                                    pos[i],
+                                ) {
+                                    let move_time = c.tuning_params.tuning_time_s(pos[i], target);
+                                    act_start[i] = pos[i];
+                                    act_target[i] = target;
+                                    act_t0[i] = t;
+                                    act_t1[i] = t + move_time;
+                                    act_active[i] = true;
+                                    retunes[i] += 1;
+                                }
+                            }
+                        }
+
+                        if act_active[i] {
+                            e_tick += c.e_act_tick;
+                            tuning_energy[i] += c.e_act_tick;
+                        }
+                    }
+
+                    let p_out = e_tick / dt;
+                    let (v_next, e_in) = c
+                        .storage
+                        .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
+                    v[i] = v_next;
+                    harvested[i] += e_in;
+                    consumed[i] += e_tick;
+
+                    let was_running = running[i];
+                    running[i] = c.thresholds.update(v[i], running[i]);
+                    if was_running && !running[i] {
+                        brownouts[i] += 1;
+                        act_active[i] = false;
+                    }
+                    if !was_running && running[i] {
+                        next_task_t[i] = t + dt;
+                        next_check_t[i] = t + dt;
+                        ever_on[i] = true;
+                    }
+                    if running[i] {
+                        uptime_ticks[i] += 1;
+                        ever_on[i] = true;
+                    }
+                    if ever_on[i] {
+                        min_v_after_on[i] = min_v_after_on[i].min(v[i]);
+                    }
+                    min_v[i] = min_v[i].min(v[i]);
+                }
+            }
+            k_done = k_end;
+            let snapshot = (0..w)
+                .map(|i| match &err[i] {
+                    Some(e) => Err(e.clone()),
+                    None => Ok(Tally {
+                        packets: packets[i],
+                        first_packet: first_packet[i],
+                        uptime_ticks: uptime_ticks[i],
+                        brownouts: brownouts[i],
+                        retunes: retunes[i],
+                        measurements: measurements[i],
+                        tuning_energy: tuning_energy[i],
+                        harvested: harvested[i],
+                        consumed: consumed[i],
+                        min_v_after_on: min_v_after_on[i],
+                        min_v: min_v[i],
+                        v: v[i],
+                    }
+                    .snapshot(k_end, dt)),
+                })
+                .collect();
+            if cp + 1 == ticks.len() {
+                return Ok(snapshot);
+            }
+            earlier.push(snapshot);
+        }
+        Err(NodeError::invalid("a run needs at least one checkpoint"))
     }
 }

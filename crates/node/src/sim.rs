@@ -99,6 +99,29 @@ pub(crate) fn tick_count(duration_s: f64, dt: f64) -> Result<usize> {
     Ok(n as usize)
 }
 
+/// Validates a checkpoint list — run durations (s), nondecreasing —
+/// against a tick length and returns each checkpoint's tick count, as
+/// [`tick_count`] computes it. Rounding is monotone, so the tick counts
+/// are nondecreasing too; equal checkpoints are allowed.
+pub(crate) fn checkpoint_ticks(checkpoints: &[f64], dt: f64) -> Result<Vec<usize>> {
+    if checkpoints.is_empty() {
+        return Err(NodeError::invalid("checkpoint list must not be empty"));
+    }
+    let mut ticks = Vec::with_capacity(checkpoints.len());
+    for (c, &d) in checkpoints.iter().enumerate() {
+        if c > 0 && d < checkpoints[c - 1] {
+            return Err(NodeError::invalid(format!(
+                "checkpoints must be nondecreasing: checkpoint {c} ({d} s) precedes \
+                 checkpoint {} ({} s)",
+                c - 1,
+                checkpoints[c - 1]
+            )));
+        }
+        ticks.push(tick_count(d, dt)?);
+    }
+    Ok(ticks)
+}
+
 /// Aggregated performance indicators of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeMetrics {
@@ -155,6 +178,51 @@ pub struct SystemTrace {
     pub p_harvest_w: Vec<f64>,
     /// Node powered state.
     pub running: Vec<bool>,
+}
+
+/// A lane's metric accumulators — everything a [`NodeMetrics`]
+/// snapshot reads. Shared by the per-sim and batched tick loops so both
+/// finalise a snapshot with the same float operations.
+pub(crate) struct Tally {
+    pub(crate) packets: u64,
+    pub(crate) first_packet: Option<f64>,
+    pub(crate) uptime_ticks: usize,
+    pub(crate) brownouts: u32,
+    pub(crate) retunes: u32,
+    pub(crate) measurements: u32,
+    pub(crate) tuning_energy: f64,
+    pub(crate) harvested: f64,
+    pub(crate) consumed: f64,
+    pub(crate) min_v_after_on: f64,
+    pub(crate) min_v: f64,
+    /// Storage voltage after the last simulated tick (V).
+    pub(crate) v: f64,
+}
+
+impl Tally {
+    /// The metrics of a run that ended after `n_ticks` ticks of `dt`.
+    pub(crate) fn snapshot(&self, n_ticks: usize, dt: f64) -> NodeMetrics {
+        let duration = n_ticks as f64 * dt;
+        NodeMetrics {
+            duration_s: duration,
+            packets_delivered: self.packets,
+            uptime_fraction: self.uptime_ticks as f64 / n_ticks as f64,
+            brownout_count: self.brownouts,
+            retune_count: self.retunes,
+            measurement_count: self.measurements,
+            tuning_energy_j: self.tuning_energy,
+            harvested_energy_j: self.harvested,
+            consumed_energy_j: self.consumed,
+            min_v_store: if self.min_v_after_on.is_finite() {
+                self.min_v_after_on
+            } else {
+                self.min_v
+            },
+            final_v_store: self.v,
+            avg_harvest_power_w: self.harvested / duration,
+            time_to_first_packet_s: self.first_packet,
+        }
+    }
 }
 
 /// Which PPU fixed-point strategy a [`PreparedSimulator`] uses.
@@ -289,7 +357,37 @@ impl PreparedSimulator {
     /// [`NodeError::Model`] if a sub-model fails mid-run or the task
     /// schedule saturates its per-tick firing bound.
     pub fn run(&self, source: &dyn VibrationSource, duration_s: f64) -> Result<NodeMetrics> {
-        Ok(self.run_internal(source, duration_s, None)?.0)
+        let ticks = [tick_count(duration_s, self.cfg.tick_s)?];
+        self.run_internal(source, &ticks, &mut Vec::new(), None)
+    }
+
+    /// Runs once to the last of `checkpoints` — run durations (s),
+    /// nondecreasing — and takes a snapshot at each. Snapshot `c` is
+    /// bit-identical to [`PreparedSimulator::run`]`(source,
+    /// checkpoints[c])`: the tick loop never reads the run's duration,
+    /// so a shorter run is an exact prefix of a longer one.
+    ///
+    /// A run that fails at tick `j` is `Ok` at every checkpoint of at
+    /// most `j` ticks and a clone of the failure at every later one —
+    /// the error [`PreparedSimulator::run`] returns for those
+    /// durations.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::InvalidParameter`] for an empty or decreasing
+    /// list, or for a checkpoint [`PreparedSimulator::run`] rejects as
+    /// a duration. Mid-run failures are inside the returned vector.
+    pub fn run_checkpoints(
+        &self,
+        source: &dyn VibrationSource,
+        checkpoints: &[f64],
+    ) -> Result<Vec<Result<NodeMetrics>>> {
+        let ticks = checkpoint_ticks(checkpoints, self.cfg.tick_s)?;
+        let mut earlier = Vec::with_capacity(ticks.len());
+        let last = self.run_internal(source, &ticks, &mut earlier, None);
+        let mut snapshots: Vec<Result<NodeMetrics>> = earlier.into_iter().map(Ok).collect();
+        snapshots.resize(ticks.len(), last);
+        Ok(snapshots)
     }
 
     /// Runs and additionally records a trace sampled every
@@ -308,19 +406,31 @@ impl PreparedSimulator {
         if trace_stride == 0 {
             return Err(NodeError::invalid("trace stride must be >= 1"));
         }
-        let (m, tr) = self.run_internal(source, duration_s, Some(trace_stride))?;
-        Ok((m, tr.expect("trace requested")))
+        let ticks = [tick_count(duration_s, self.cfg.tick_s)?];
+        let mut trace = SystemTrace::default();
+        let m = self.run_internal(
+            source,
+            &ticks,
+            &mut Vec::new(),
+            Some((trace_stride, &mut trace)),
+        )?;
+        Ok((m, trace))
     }
 
+    /// The tick loop, run in segments: after `ticks[c]` ticks (a
+    /// validated, nondecreasing list) it takes snapshot `c`. Every
+    /// snapshot but the last is pushed onto `earlier`; the last is
+    /// returned. A mid-run failure returns its error and leaves the
+    /// snapshots taken before it in `earlier`.
     fn run_internal(
         &self,
         source: &dyn VibrationSource,
-        duration_s: f64,
-        trace_stride: Option<usize>,
-    ) -> Result<(NodeMetrics, Option<SystemTrace>)> {
+        ticks: &[usize],
+        earlier: &mut Vec<NodeMetrics>,
+        mut trace: Option<(usize, &mut SystemTrace)>,
+    ) -> Result<NodeMetrics> {
         let cfg = &self.cfg;
         let dt = cfg.tick_s;
-        let n_ticks = tick_count(duration_s, dt)?;
         let warm = self.mode == SolverMode::Warm;
 
         let mut v = cfg.v_store0;
@@ -359,212 +469,212 @@ impl PreparedSimulator {
         // amplitude.
         let mut prev_v_pk: Option<f64> = None;
 
-        let mut trace = trace_stride.map(|_| SystemTrace::default());
+        let mut k_done = 0;
+        for (cp, &k_end) in ticks.iter().enumerate() {
+            for k in k_done..k_end {
+                let t = k as f64 * dt;
+                let env = source.envelope(t);
 
-        for k in 0..n_ticks {
-            let t = k as f64 * dt;
-            let env = source.envelope(t);
+                // Actuator motion.
+                if let Some(mv) = &actuator {
+                    if t >= mv.t_end {
+                        pos = mv.target_pos;
+                        actuator = None;
+                    } else {
+                        let frac = (t - mv.t_start) / (mv.t_end - mv.t_start);
+                        pos = mv.start_pos + (mv.target_pos - mv.start_pos) * frac;
+                    }
+                }
 
-            // Actuator motion.
-            if let Some(mv) = &actuator {
-                if t >= mv.t_end {
-                    pos = mv.target_pos;
-                    actuator = None;
+                // Harvest path.
+                let key = (pos.to_bits(), env.freq_hz.to_bits(), env.amp.to_bits());
+                if !thev_primed || key != thev_key {
+                    thev_val = self
+                        .harv
+                        .thevenin(pos, env.freq_hz, env.amp)
+                        .map_err(|e| NodeError::Model(e.to_string()))?;
+                    thev_key = key;
+                    thev_primed = true;
+                }
+                let (v_oc, z_src) = thev_val;
+                let op = match prev_v_pk {
+                    Some(seed) if warm => {
+                        self.ppu
+                            .operating_point_from(seed, v_oc, z_src, env.freq_hz, v)
+                    }
+                    _ => self.ppu.operating_point(v_oc, z_src, env.freq_hz, v),
+                }
+                .map_err(|e| NodeError::Model(e.to_string()))?;
+                prev_v_pk = Some(op.v_in_amp);
+                let p_in = op.p_store_w;
+                if !ema_primed {
+                    ema = p_in;
+                    ema_primed = true;
                 } else {
-                    let frac = (t - mv.t_start) / (mv.t_end - mv.t_start);
-                    pos = mv.start_pos + (mv.target_pos - mv.start_pos) * frac;
+                    ema = cfg.policy.update_ema(ema, p_in);
                 }
-            }
 
-            // Harvest path.
-            let key = (pos.to_bits(), env.freq_hz.to_bits(), env.amp.to_bits());
-            if !thev_primed || key != thev_key {
-                thev_val = self
-                    .harv
-                    .thevenin(pos, env.freq_hz, env.amp)
-                    .map_err(|e| NodeError::Model(e.to_string()))?;
-                thev_key = key;
-                thev_primed = true;
-            }
-            let (v_oc, z_src) = thev_val;
-            let op = match prev_v_pk {
-                Some(seed) if warm => {
-                    self.ppu
-                        .operating_point_from(seed, v_oc, z_src, env.freq_hz, v)
-                }
-                _ => self.ppu.operating_point(v_oc, z_src, env.freq_hz, v),
-            }
-            .map_err(|e| NodeError::Model(e.to_string()))?;
-            prev_v_pk = Some(op.v_in_amp);
-            let p_in = op.p_store_w;
-            if !ema_primed {
-                ema = p_in;
-                ema_primed = true;
-            } else {
-                ema = cfg.policy.update_ema(ema, p_in);
-            }
+                // Energy-management policy hook: observe the tick, get the
+                // action governing it. `PolicyKind::Static` returns the
+                // identity action, and multiplying a period by its 1.0
+                // scale is bit-exact, so the default policy reproduces the
+                // policy-free simulator bit for bit (asserted against
+                // `run_reference` by the equivalence suite).
+                let policy_action = cfg.energy_policy.act(
+                    &mut policy_state,
+                    &PolicyObs {
+                        t_s: t,
+                        dt_s: dt,
+                        v_store: v,
+                        v_on: cfg.thresholds.v_on,
+                        v_off: cfg.thresholds.v_off,
+                        p_harvest_w: p_in,
+                        nominal_period_s: cfg.task.period_s,
+                        p_idle_w: self.p_sleep_in,
+                        e_cycle_j: self.e_cycle_in,
+                        running,
+                    },
+                );
 
-            // Energy-management policy hook: observe the tick, get the
-            // action governing it. `PolicyKind::Static` returns the
-            // identity action, and multiplying a period by its 1.0
-            // scale is bit-exact, so the default policy reproduces the
-            // policy-free simulator bit for bit (asserted against
-            // `run_reference` by the equivalence suite).
-            let policy_action = cfg.energy_policy.act(
-                &mut policy_state,
-                &PolicyObs {
-                    t_s: t,
-                    dt_s: dt,
-                    v_store: v,
-                    v_on: cfg.thresholds.v_on,
-                    v_off: cfg.thresholds.v_off,
-                    p_harvest_w: p_in,
-                    nominal_period_s: cfg.task.period_s,
-                    p_idle_w: self.p_sleep_in,
-                    e_cycle_j: self.e_cycle_in,
-                    running,
-                },
-            );
+                // Consumption.
+                let mut e_tick = 0.0f64;
+                if running {
+                    e_tick += self.p_sleep_in * dt;
 
-            // Consumption.
-            let mut e_tick = 0.0f64;
-            if running {
-                e_tick += self.p_sleep_in * dt;
-
-                // Periodic application task(s). Each firing advances the
-                // schedule by at least MIN_TASK_PERIOD_S, so the firing
-                // count per tick is bounded by dt / MIN_TASK_PERIOD_S
-                // (+1 for the fractional remainder); exceeding that
-                // bound means the schedule can no longer catch up and
-                // the run is aborted instead of silently undercounting.
-                let mut fires: u64 = 0;
-                while next_task_t <= t {
-                    if fires >= self.max_fires_per_tick {
-                        return Err(task_saturation_error(dt, self.max_fires_per_tick));
+                    // Periodic application task(s). Each firing advances the
+                    // schedule by at least MIN_TASK_PERIOD_S, so the firing
+                    // count per tick is bounded by dt / MIN_TASK_PERIOD_S
+                    // (+1 for the fractional remainder); exceeding that
+                    // bound means the schedule can no longer catch up and
+                    // the run is aborted instead of silently undercounting.
+                    let mut fires: u64 = 0;
+                    while next_task_t <= t {
+                        if fires >= self.max_fires_per_tick {
+                            return Err(task_saturation_error(dt, self.max_fires_per_tick));
+                        }
+                        if !policy_action.skip_fire {
+                            e_tick += self.e_cycle_in;
+                            packets += 1;
+                            if first_packet.is_none() {
+                                first_packet = Some(t);
+                            }
+                        }
+                        // The energy policy's scale composes
+                        // multiplicatively with the duty-cycle policy's
+                        // adapted period; the MIN_TASK_PERIOD_S floor still
+                        // bounds the firing rate, whatever the policy asks.
+                        let period = cfg.policy.period_s(
+                            cfg.task.period_s,
+                            v,
+                            cfg.thresholds.v_on,
+                            cfg.thresholds.v_off,
+                            ema,
+                            self.p_sleep_in,
+                            self.e_cycle_in,
+                        ) * policy_action.period_scale;
+                        next_task_t += period.max(MIN_TASK_PERIOD_S);
+                        fires += 1;
                     }
-                    if !policy_action.skip_fire {
-                        e_tick += self.e_cycle_in;
-                        packets += 1;
-                        if first_packet.is_none() {
-                            first_packet = Some(t);
+
+                    // Tuning controller.
+                    if cfg.tuning.enabled && t >= next_check_t {
+                        e_tick += self.e_measure_in;
+                        measurements += 1;
+                        next_check_t = t + cfg.tuning.check_interval_s;
+                        if actuator.is_none() {
+                            let resonance = self.harv.resonant_frequency(pos);
+                            if let Some(target) = cfg.tuning.decide(
+                                env.freq_hz,
+                                resonance,
+                                |f| self.harv.position_for_frequency(f),
+                                pos,
+                            ) {
+                                let move_time = cfg.harvester.tuning.tuning_time_s(pos, target);
+                                actuator = Some(ActuatorMove {
+                                    start_pos: pos,
+                                    target_pos: target,
+                                    t_start: t,
+                                    t_end: t + move_time,
+                                });
+                                retunes += 1;
+                            }
                         }
                     }
-                    // The energy policy's scale composes
-                    // multiplicatively with the duty-cycle policy's
-                    // adapted period; the MIN_TASK_PERIOD_S floor still
-                    // bounds the firing rate, whatever the policy asks.
-                    let period = cfg.policy.period_s(
-                        cfg.task.period_s,
-                        v,
-                        cfg.thresholds.v_on,
-                        cfg.thresholds.v_off,
-                        ema,
-                        self.p_sleep_in,
-                        self.e_cycle_in,
-                    ) * policy_action.period_scale;
-                    next_task_t += period.max(MIN_TASK_PERIOD_S);
-                    fires += 1;
-                }
 
-                // Tuning controller.
-                if cfg.tuning.enabled && t >= next_check_t {
-                    e_tick += self.e_measure_in;
-                    measurements += 1;
-                    next_check_t = t + cfg.tuning.check_interval_s;
-                    if actuator.is_none() {
-                        let resonance = self.harv.resonant_frequency(pos);
-                        if let Some(target) = cfg.tuning.decide(
-                            env.freq_hz,
-                            resonance,
-                            |f| self.harv.position_for_frequency(f),
-                            pos,
-                        ) {
-                            let move_time = cfg.harvester.tuning.tuning_time_s(pos, target);
-                            actuator = Some(ActuatorMove {
-                                start_pos: pos,
-                                target_pos: target,
-                                t_start: t,
-                                t_end: t + move_time,
-                            });
-                            retunes += 1;
-                        }
+                    // Actuator draw while moving.
+                    if actuator.is_some() {
+                        e_tick += self.e_act_tick;
+                        tuning_energy += self.e_act_tick;
                     }
                 }
 
-                // Actuator draw while moving.
-                if actuator.is_some() {
-                    e_tick += self.e_act_tick;
-                    tuning_energy += self.e_act_tick;
+                let p_out = e_tick / dt;
+                // Charge-based stepping so a depleted capacitor cold-starts;
+                // the storage model reports the charging energy it actually
+                // absorbed (clamping included), keeping the harvest ledger
+                // consistent with the state update.
+                let (v_next, e_in) = cfg
+                    .storage
+                    .step_with_current_accounted(v, op.i_out_a, p_out, dt);
+                v = v_next;
+                harvested += e_in;
+                consumed += e_tick;
+
+                let was_running = running;
+                running = cfg.thresholds.update(v, running);
+                if was_running && !running {
+                    brownouts += 1;
+                    // A brown-out aborts any actuator motion.
+                    actuator = None;
+                }
+                if !was_running && running {
+                    // Wake-up: restart the schedules.
+                    next_task_t = t + dt;
+                    next_check_t = t + dt;
+                    ever_on = true;
+                }
+                if running {
+                    uptime_ticks += 1;
+                    ever_on = true;
+                }
+                if ever_on {
+                    min_v_after_on = min_v_after_on.min(v);
+                }
+                min_v = min_v.min(v);
+
+                if let Some((stride, tr)) = &mut trace {
+                    if k % *stride == 0 {
+                        tr.t.push(t);
+                        tr.v_store.push(v);
+                        tr.resonance_hz.push(self.harv.resonant_frequency(pos));
+                        tr.ambient_hz.push(env.freq_hz);
+                        tr.p_harvest_w.push(p_in);
+                        tr.running.push(running);
+                    }
                 }
             }
-
-            let p_out = e_tick / dt;
-            // Charge-based stepping so a depleted capacitor cold-starts;
-            // the storage model reports the charging energy it actually
-            // absorbed (clamping included), keeping the harvest ledger
-            // consistent with the state update.
-            let (v_next, e_in) = cfg
-                .storage
-                .step_with_current_accounted(v, op.i_out_a, p_out, dt);
-            v = v_next;
-            harvested += e_in;
-            consumed += e_tick;
-
-            let was_running = running;
-            running = cfg.thresholds.update(v, running);
-            if was_running && !running {
-                brownouts += 1;
-                // A brown-out aborts any actuator motion.
-                actuator = None;
+            k_done = k_end;
+            let snapshot = Tally {
+                packets,
+                first_packet,
+                uptime_ticks,
+                brownouts,
+                retunes,
+                measurements,
+                tuning_energy,
+                harvested,
+                consumed,
+                min_v_after_on,
+                min_v,
+                v,
             }
-            if !was_running && running {
-                // Wake-up: restart the schedules.
-                next_task_t = t + dt;
-                next_check_t = t + dt;
-                ever_on = true;
+            .snapshot(k_end, dt);
+            if cp + 1 == ticks.len() {
+                return Ok(snapshot);
             }
-            if running {
-                uptime_ticks += 1;
-                ever_on = true;
-            }
-            if ever_on {
-                min_v_after_on = min_v_after_on.min(v);
-            }
-            min_v = min_v.min(v);
-
-            if let (Some(stride), Some(tr)) = (trace_stride, trace.as_mut()) {
-                if k % stride == 0 {
-                    tr.t.push(t);
-                    tr.v_store.push(v);
-                    tr.resonance_hz.push(self.harv.resonant_frequency(pos));
-                    tr.ambient_hz.push(env.freq_hz);
-                    tr.p_harvest_w.push(p_in);
-                    tr.running.push(running);
-                }
-            }
+            earlier.push(snapshot);
         }
-
-        let duration = n_ticks as f64 * dt;
-        let metrics = NodeMetrics {
-            duration_s: duration,
-            packets_delivered: packets,
-            uptime_fraction: uptime_ticks as f64 / n_ticks as f64,
-            brownout_count: brownouts,
-            retune_count: retunes,
-            measurement_count: measurements,
-            tuning_energy_j: tuning_energy,
-            harvested_energy_j: harvested,
-            consumed_energy_j: consumed,
-            min_v_store: if min_v_after_on.is_finite() {
-                min_v_after_on
-            } else {
-                min_v
-            },
-            final_v_store: v,
-            avg_harvest_power_w: harvested / duration,
-            time_to_first_packet_s: first_packet,
-        };
-        Ok((metrics, trace))
+        Err(NodeError::invalid("a run needs at least one checkpoint"))
     }
 }
 

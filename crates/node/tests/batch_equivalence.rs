@@ -7,10 +7,25 @@
 
 use ehsim_node::energy_policy::{EnergyAware, PolicyKind, Threshold};
 use ehsim_node::{
-    BatchSimulator, DutyCyclePolicy, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode,
+    BatchSimulator, DutyCyclePolicy, NodeConfig, NodeError, NodeMetrics, PreparedSimulator,
+    SolverMode,
 };
 use ehsim_vibration::{DriftSchedule, Envelope, Sine, VibrationSource};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A one-checkpoint run of a batch with one source per lane.
+fn run_per_lane(
+    batch: &BatchSimulator,
+    sources: &[&dyn VibrationSource],
+    duration_s: f64,
+) -> Vec<Result<NodeMetrics, NodeError>> {
+    let mut snapshots = batch
+        .run_lanes_with_sources(sources, &[duration_s])
+        .unwrap();
+    assert_eq!(snapshots.len(), 1, "one checkpoint, one snapshot");
+    snapshots.pop().unwrap()
+}
 
 fn assert_metrics_bitwise_eq(a: &NodeMetrics, b: &NodeMetrics, what: &str) {
     assert_eq!(a.packets_delivered, b.packets_delivered, "{what}");
@@ -111,7 +126,7 @@ fn run_fixture_widths(mode: SolverMode, duration_s: f64) {
         let batch = BatchSimulator::new(lanes.clone()).unwrap();
         assert_eq!(batch.width(), width);
         assert_eq!(batch.solver_mode(), mode);
-        let results = batch.run_lanes_with_sources(&sources, duration_s).unwrap();
+        let results = run_per_lane(&batch, &sources, duration_s);
         for (j, result) in results.iter().enumerate() {
             let oracle = lanes[j].run(sources[j], duration_s).unwrap();
             let got = result.as_ref().expect("lane must succeed");
@@ -236,7 +251,7 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
         .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
         .collect();
     let batch = BatchSimulator::new(lanes.clone()).unwrap();
-    let results = batch.run_lanes_with_sources(&sources, 400.0).unwrap();
+    let results = run_per_lane(&batch, &sources, 400.0);
 
     for (i, result) in results.iter().enumerate() {
         let oracle = lanes[i].run(sources[i], 400.0);
@@ -258,9 +273,7 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
 
     // The fail-fast entry point reports the smallest failing lane
     // index — lane 1, even though lane 3 failed at an earlier tick.
-    let err = batch
-        .run_lanes_with_sources(&sources, 400.0)
-        .unwrap()
+    let err = run_per_lane(&batch, &sources, 400.0)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .unwrap_err();
@@ -285,6 +298,206 @@ fn shared_poison_source_fails_every_lane_and_run_reports_lane_zero() {
     let run_err = batch.run(&poison, 120.0).unwrap_err();
     let oracle_err = lanes[0].run(&poison, 120.0).unwrap_err();
     assert_eq!(run_err.to_string(), oracle_err.to_string());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints: one run, a snapshot at every horizon
+// ---------------------------------------------------------------------------
+
+/// Compares a snapshot with a fresh run of the same duration: equal
+/// bits when both succeed, the same error text when both fail.
+fn assert_same_outcome(
+    got: &Result<NodeMetrics, NodeError>,
+    fresh: &Result<NodeMetrics, NodeError>,
+    what: &str,
+) {
+    match (got, fresh) {
+        (Ok(a), Ok(b)) => assert_metrics_bitwise_eq(a, b, what),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+        (a, b) => panic!("{what}: snapshot {a:?} vs fresh run {b:?}"),
+    }
+}
+
+/// Checks both checkpointed entry points against fresh runs: every
+/// batched snapshot `[c][i]` and every per-sim snapshot `c` of lane `i`
+/// must equal `run(sources[i], checkpoints[c])`.
+fn assert_checkpoints_match_fresh_runs(
+    lanes: &[PreparedSimulator],
+    sources: &[&dyn VibrationSource],
+    checkpoints: &[f64],
+    what: &str,
+) -> Vec<Vec<Result<NodeMetrics, NodeError>>> {
+    let batch = BatchSimulator::new(lanes.to_vec()).unwrap();
+    let batched = batch.run_lanes_with_sources(sources, checkpoints).unwrap();
+    assert_eq!(
+        batched.len(),
+        checkpoints.len(),
+        "{what}: one snapshot per checkpoint"
+    );
+    for (i, lane) in lanes.iter().enumerate() {
+        let per_sim = lane.run_checkpoints(sources[i], checkpoints).unwrap();
+        assert_eq!(per_sim.len(), checkpoints.len(), "{what}: lane {i}");
+        for (c, &t) in checkpoints.iter().enumerate() {
+            let fresh = lane.run(sources[i], t);
+            let label = format!("{what}: lane {i} checkpoint {c} ({t} s)");
+            assert_same_outcome(&batched[c][i], &fresh, &format!("batched {label}"));
+            assert_same_outcome(&per_sim[c], &fresh, &format!("per-sim {label}"));
+        }
+    }
+    batched
+}
+
+#[test]
+fn checkpoint_snapshots_are_bit_identical_to_fresh_runs() {
+    // Sub-tick (floored to one tick), duplicate and off-grid
+    // checkpoints included.
+    let checkpoints = [0.04, 50.0, 180.0, 180.0, 333.33, 600.0];
+    let cases = fixture_cases();
+    for mode in [SolverMode::Exact, SolverMode::Warm] {
+        let lanes: Vec<PreparedSimulator> = cases
+            .iter()
+            .map(|(cfg, _)| PreparedSimulator::with_solver(cfg.clone(), mode).unwrap())
+            .collect();
+        let sources: Vec<&dyn VibrationSource> = cases.iter().map(|(_, s)| s.as_ref()).collect();
+        let batched = assert_checkpoints_match_fresh_runs(
+            &lanes,
+            &sources,
+            &checkpoints,
+            &format!("{mode:?}"),
+        );
+        assert!(batched.iter().flatten().all(Result::is_ok));
+    }
+}
+
+#[test]
+fn checkpoint_lanes_poisoned_between_checkpoints_fail_from_then_on() {
+    let cfg = NodeConfig::default_node();
+    let clean = resonant_sine(&cfg, 0.9);
+    let f = cfg.harvester.resonant_frequency(cfg.initial_position);
+    let poisoned_late = PoisonAfter {
+        inner: Sine::new(0.9, f).unwrap(),
+        t_poison: 120.0,
+    };
+    let poisoned_early = PoisonAfter {
+        inner: Sine::new(0.9, f).unwrap(),
+        t_poison: 20.0,
+    };
+    let sources: Vec<&dyn VibrationSource> = vec![&clean, &poisoned_late, &clean, &poisoned_early];
+    let lanes: Vec<PreparedSimulator> = (0..sources.len())
+        .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
+        .collect();
+    let checkpoints = [10.0, 100.0, 150.0, 150.0, 400.0];
+    let batched = assert_checkpoints_match_fresh_runs(&lanes, &sources, &checkpoints, "poisoned");
+    let ok: Vec<Vec<bool>> = batched
+        .iter()
+        .map(|lanes| lanes.iter().map(Result::is_ok).collect())
+        .collect();
+    assert_eq!(
+        ok,
+        vec![
+            vec![true, true, true, true],
+            vec![true, true, true, false],
+            vec![true, false, true, false],
+            vec![true, false, true, false],
+            vec![true, false, true, false],
+        ],
+        "a lane is Ok before its failing tick and failed at every later checkpoint"
+    );
+}
+
+/// A shared source that counts its envelope evaluations and turns
+/// hostile at `t_poison`.
+struct CountingPoison {
+    poison: PoisonAfter,
+    calls: AtomicUsize,
+}
+
+impl VibrationSource for CountingPoison {
+    fn acceleration(&self, t: f64) -> f64 {
+        self.poison.acceleration(t)
+    }
+    fn envelope(&self, t: f64) -> Envelope {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.poison.envelope(t)
+    }
+}
+
+#[test]
+fn checkpoint_run_exits_early_once_every_lane_is_dead() {
+    let cfg = NodeConfig::default_node();
+    let f = cfg.harvester.resonant_frequency(cfg.initial_position);
+    let poison = PoisonAfter {
+        inner: Sine::new(0.9, f).unwrap(),
+        t_poison: 30.0,
+    };
+    let lanes: Vec<PreparedSimulator> = (0..3)
+        .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
+        .collect();
+    let sources: Vec<&dyn VibrationSource> = vec![&poison; 3];
+    // Every lane dies at t = 30 s; the later segments must still
+    // report each lane's error, snapshot after snapshot.
+    let checkpoints = [20.0, 60.0, 120.0, 120.0, 5000.0];
+    let batched = assert_checkpoints_match_fresh_runs(&lanes, &sources, &checkpoints, "all dead");
+    assert!(batched[0].iter().all(Result::is_ok));
+    assert!(batched[1..].iter().flatten().all(Result::is_err));
+
+    // With a shared source the envelope is evaluated once per tick
+    // until the batch is empty: 301 ticks (0..=300 at dt = 0.1 s), not
+    // the 50 000 the horizon asks for.
+    let counting = CountingPoison {
+        poison: PoisonAfter {
+            inner: Sine::new(0.9, f).unwrap(),
+            t_poison: 30.0,
+        },
+        calls: AtomicUsize::new(0),
+    };
+    let batch = BatchSimulator::new(lanes).unwrap();
+    let results = batch.run_lanes(&counting, 5000.0).unwrap();
+    assert!(results.iter().all(Result::is_err));
+    assert_eq!(counting.calls.load(Ordering::Relaxed), 301);
+}
+
+#[test]
+fn checkpoint_lists_that_are_empty_decreasing_or_not_finite_are_rejected() {
+    let cfg = NodeConfig::default_node();
+    let src = resonant_sine(&cfg, 0.9);
+    let lane = PreparedSimulator::new(cfg).unwrap();
+    let batch = BatchSimulator::new(vec![lane.clone()]).unwrap();
+    let sources: Vec<&dyn VibrationSource> = vec![&src];
+    let bad: [&[f64]; 8] = [
+        &[],
+        &[100.0, 50.0],
+        &[10.0, 20.0, 19.999],
+        &[f64::NAN],
+        &[10.0, f64::INFINITY],
+        &[0.0, 10.0],
+        &[-1.0],
+        &[10.0, 1e300],
+    ];
+    for checkpoints in bad {
+        for (path, result) in [
+            (
+                "per-sim",
+                lane.run_checkpoints(&src, checkpoints).map(|_| ()),
+            ),
+            (
+                "batched",
+                batch
+                    .run_lanes_with_sources(&sources, checkpoints)
+                    .map(|_| ()),
+            ),
+        ] {
+            assert!(
+                matches!(result, Err(NodeError::InvalidParameter { .. })),
+                "{path} {checkpoints:?}: {result:?}"
+            );
+        }
+    }
+    // Equal checkpoints are fine.
+    assert!(lane.run_checkpoints(&src, &[10.0, 10.0]).is_ok());
+    assert!(batch
+        .run_lanes_with_sources(&sources, &[10.0, 10.0])
+        .is_ok());
 }
 
 proptest! {

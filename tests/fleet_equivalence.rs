@@ -658,3 +658,244 @@ fn env_factory_failure_reports_smallest_node_across_threads() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Multi-epoch fingerprints and the run-time error order
+// ---------------------------------------------------------------------------
+
+use ehsim::net::{EpochAudit, FleetOutcome};
+use ehsim::vibration::{Envelope, VibrationSource};
+use std::sync::Arc;
+
+/// FNV-1a over 64-bit words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+    fn opt_f64(&mut self, x: Option<f64>) {
+        self.word(u64::from(x.is_some()));
+        self.f64(x.unwrap_or(0.0));
+    }
+    fn usizes(&mut self, xs: &[usize]) {
+        self.word(xs.len() as u64);
+        for &x in xs {
+            self.word(x as u64);
+        }
+    }
+}
+
+/// Hash of every result bit of a fleet run: each `FleetMetrics` field,
+/// each `EpochAudit` field, each `NodeNetStats` and each per-node
+/// `NodeMetrics`.
+fn fleet_fingerprint(out: &FleetOutcome) -> u64 {
+    let mut h = Fnv::new();
+    let m = &out.metrics;
+    for x in [
+        m.duration_s,
+        m.packets_originated,
+        m.packets_delivered,
+        m.delivery_fraction,
+        m.relay_energy_j,
+        m.mean_hop_relay_energy_j,
+        m.first_death_s,
+        m.residual_mean_j,
+        m.residual_spread_j,
+        m.min_brownout_margin_v,
+        m.mean_uptime_fraction,
+    ] {
+        h.f64(x);
+    }
+    for x in [
+        m.n_nodes as u64,
+        u64::from(m.dead_nodes),
+        u64::from(m.browned_out_nodes),
+        u64::from(m.unreachable_nodes),
+        u64::from(m.route_repairs),
+    ] {
+        h.word(x);
+    }
+    h.word(m.epochs.len() as u64);
+    for a in &m.epochs {
+        let EpochAudit {
+            epoch,
+            t_start_s,
+            t_end_s,
+            excluded_relays,
+            newly_browned,
+            rerouted,
+            unreachable_nodes,
+            newly_stranded,
+            packets_originated,
+            packets_delivered,
+        } = a;
+        h.word(*epoch as u64);
+        h.f64(*t_start_s);
+        h.f64(*t_end_s);
+        h.word(u64::from(*excluded_relays));
+        h.usizes(newly_browned);
+        h.word(u64::from(*rerouted));
+        h.word(u64::from(*unreachable_nodes));
+        h.usizes(newly_stranded);
+        h.f64(*packets_originated);
+        h.f64(*packets_delivered);
+    }
+    for s in &out.net {
+        h.f64(s.originated);
+        h.f64(s.delivered);
+        h.word(u64::from(s.hops_to_sink.is_some()));
+        h.word(s.hops_to_sink.unwrap_or(0) as u64);
+        h.f64(s.relay_demand_j);
+        h.f64(s.relay_spent_j);
+        h.f64(s.headroom_j);
+        h.f64(s.residual_j);
+        h.word(u64::from(s.browned_out));
+        h.word(u64::from(s.dead));
+        h.opt_f64(s.death_s);
+    }
+    for n in &out.per_node {
+        h.f64(n.duration_s);
+        h.word(n.packets_delivered);
+        h.f64(n.uptime_fraction);
+        h.word(u64::from(n.brownout_count));
+        h.word(u64::from(n.retune_count));
+        h.word(u64::from(n.measurement_count));
+        h.f64(n.tuning_energy_j);
+        h.f64(n.harvested_energy_j);
+        h.f64(n.consumed_energy_j);
+        h.f64(n.min_v_store);
+        h.f64(n.final_v_store);
+        h.f64(n.avg_harvest_power_w);
+        h.opt_f64(n.time_to_first_packet_s);
+    }
+    h.0
+}
+
+/// A benchmark-shaped fleet: the e13 node (0.5 s tick, harvester tuned
+/// to 64 Hz) on a fixed 0.5 s duty cycle with seeded 10–30 mF storage,
+/// placed uniformly at the e13 density (0.025 nodes/m², 12 m range)
+/// with the sink at the centre. Nodes drain at different rates, so
+/// relays brown out in every epoch and route repair fires.
+fn drained_fleet_spec(n: usize) -> FleetSpec {
+    let side_m = (n as f64 / 0.025).sqrt();
+    let positions = Placement::UniformRandom {
+        n,
+        width_m: side_m,
+        height_m: side_m,
+        seed: 0xF1EE7,
+    }
+    .positions()
+    .expect("valid placement");
+    let mut cfg = NodeConfig::default_node();
+    cfg.tick_s = 0.5;
+    cfg.initial_position = cfg.harvester.position_for_frequency(64.0);
+    cfg.policy = ehsim::node::DutyCyclePolicy::Fixed;
+    cfg.task.period_s = 0.5;
+    let sink = Point::new(side_m / 2.0, side_m / 2.0);
+    let mut spec = FleetSpec::homogeneous(cfg, positions, sink, 12.0, 30.0);
+    for (i, node) in spec.nodes.iter_mut().enumerate() {
+        // A uniform draw in [0, 1) from the top 53 bits of a split seed.
+        let u = (node_seed(0xC570, i) >> 11) as f64 / (1u64 << 53) as f64;
+        node.config.storage.capacitance = 0.01 + 0.02 * u;
+    }
+    spec.fleet_seed = 0x5EED_0013;
+    spec
+}
+
+/// Pins every result bit of multi-epoch fleet runs to values captured
+/// before the node phase was checkpointed (when every epoch boundary
+/// re-simulated its prefix from tick 0). A change to the node phase,
+/// the snapshot boundaries or the accounting moves these hashes.
+#[test]
+fn multi_epoch_fleet_bits_are_pinned() {
+    for (epochs, want) in [
+        (1usize, 0xa26a_f143_11ce_831fu64),
+        (4, 0x57db_8337_af60_068e),
+        (7, 0x9ee4_f224_f974_1692),
+    ] {
+        let mut spec = drained_fleet_spec(600);
+        spec.route_epochs = epochs;
+        let fleet = FleetSimulator::prepare(spec, 2).expect("valid fleet");
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
+            let out = fleet.run_with_dispatch(2, dispatch).expect("fleet runs");
+            let m = &out.metrics;
+            assert_eq!(m.epochs.len(), epochs);
+            assert!(m.browned_out_nodes > 0, "relays must brown out");
+            if epochs > 1 {
+                assert!(m.route_repairs >= 1, "{epochs} epochs: repair must fire");
+            }
+            let got = fleet_fingerprint(&out);
+            assert_eq!(
+                got, want,
+                "{epochs} epochs, {dispatch:?}: fingerprint {got:#018x}"
+            );
+        }
+    }
+}
+
+/// Wraps a source and emits a non-finite envelope frequency from
+/// `t_poison` on, which fails the node's simulation at that tick.
+struct PoisonAfter {
+    inner: Arc<dyn VibrationSource>,
+    t_poison: f64,
+}
+
+impl VibrationSource for PoisonAfter {
+    fn acceleration(&self, t: f64) -> f64 {
+        self.inner.acceleration(t)
+    }
+    fn envelope(&self, t: f64) -> Envelope {
+        let mut env = self.inner.envelope(t);
+        if t >= self.t_poison {
+            env.freq_hz = f64::INFINITY;
+        }
+        env
+    }
+}
+
+/// Run-time node failures surface epoch-major: the earliest epoch in
+/// which any node fails wins, then the smallest failing node within it.
+/// Node 5 fails in epoch 0 and node 2 only in epoch 3, so the run
+/// reports node 5 — never the smallest failing node over the whole run.
+#[test]
+fn run_time_node_error_is_earliest_epoch_then_smallest_node() {
+    let mut spec = homogeneous_spec(9);
+    spec.duration_s = 40.0;
+    spec.route_epochs = 4;
+    let early = node_seed(spec.fleet_seed, 5);
+    let late = node_seed(spec.fleet_seed, 2);
+    let floor = FleetEnvironment::factory_floor();
+    spec.environment = FleetEnvironment::new("poisoned-floor", move |seed| {
+        let inner = floor.source_for(seed)?;
+        let t_poison = if seed == early {
+            3.0
+        } else if seed == late {
+            35.0
+        } else {
+            return Ok(inner);
+        };
+        Ok(Arc::new(PoisonAfter { inner, t_poison }) as Arc<dyn VibrationSource>)
+    });
+    let fleet = FleetSimulator::new(spec).expect("valid fleet");
+    for threads in [1, 2, 8] {
+        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+            match fleet.run_with_dispatch(threads, dispatch) {
+                Err(NetError::Node { node, .. }) => {
+                    assert_eq!(node, 5, "{dispatch:?}@{threads}t reported the wrong node")
+                }
+                Err(other) => panic!("{dispatch:?}@{threads}t: expected node error, got {other:?}"),
+                Ok(_) => panic!("{dispatch:?}@{threads}t: expected node error, got a run"),
+            }
+        }
+    }
+}
