@@ -16,8 +16,8 @@
 //!    widths 1/4/16/64, in both `SolverMode::Exact` and
 //!    `SolverMode::Warm`, versus three per-sim baselines on the *same*
 //!    workload: the pre-refactor reference path, the per-sim exact
-//!    campaign shape (one `SystemSimulator` per job — what the
-//!    dispatcher's fallback runs), and the per-sim warm shape. Every
+//!    campaign shape (one `SystemSimulator` per job — the
+//!    `evaluate_coded` oracle), and the per-sim warm shape. Every
 //!    batch pass must reproduce its same-mode per-sim bits — asserted
 //!    via a shared checksum.
 //! 3. **Campaign wall-clock** of a 16-point factorial over the
@@ -151,8 +151,8 @@ fn run(
     }
 
     // --- 2. batched SoA kernel vs the per-sim campaign shape --------
-    // 64 design points spread across the standard design box — the
-    // homogeneous job group a campaign hands the dispatcher. Three
+    // 64 design points spread across the standard design box — one
+    // tick program, as a campaign hands the dispatcher. Three
     // per-sim baselines on the same workload: the pre-refactor
     // reference path (the 1.00x anchor), the pre-dispatch exact
     // campaign shape (construct one simulator per job), and the warm

@@ -169,8 +169,8 @@ pub fn e13_placement(n: usize) -> (Vec<Point>, Point, f64) {
 
 /// The e13 node baseline: the default node pre-tuned to the factory
 /// floor's 64 Hz backbone on a 0.5 s tick — every candidate tuning
-/// shares the tick, so e13 fleets stay homogeneous and ride the batch
-/// kernel's contiguous-chunk fast path.
+/// shares the tick, so an e13 fleet is one tick program and runs in
+/// contiguous batch chunks.
 pub fn e13_base_config() -> NodeConfig {
     let mut cfg = NodeConfig::default_node();
     cfg.tick_s = 0.5;

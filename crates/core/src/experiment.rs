@@ -8,9 +8,10 @@ use crate::scenario::{Scenario, ScenarioEnsemble};
 use crate::space::{DesignSpace, Factor};
 use crate::{CoreError, Result};
 use ehsim_doe::Design;
+use ehsim_node::dispatch::{self, LaneRun};
 use ehsim_node::energy_policy::{EnergyAware, Threshold};
 use ehsim_node::{
-    BatchSimulator, DutyCyclePolicy, NodeConfig, PolicyKind, PreparedSimulator, SystemSimulator,
+    DutyCyclePolicy, Excitation, NodeConfig, PolicyKind, PreparedSimulator, SystemSimulator,
 };
 use std::sync::Arc;
 // lint:allow(D2): wall-clock feeds reporting-only Duration stats, never response values
@@ -417,13 +418,11 @@ impl Campaign {
 
     /// Runs every design point, using up to `threads` worker threads.
     ///
-    /// Homogeneous designs — every point prepares successfully and
-    /// shares one tick program — are dispatched to the SoA batch
-    /// kernel ([`BatchSimulator`]), which is bit-identical to the
-    /// per-sim path lane for lane; heterogeneous designs fall back to
-    /// one [`SystemSimulator`] per point. Either way the responses,
-    /// their order, and the error semantics are the same for any
-    /// thread count.
+    /// The points run as lanes of the SoA batch kernel, grouped by tick
+    /// program ([`dispatch::run_lanes`]); the kernel is bit-identical to
+    /// the per-sim path lane for lane. The responses, their order and
+    /// the error are those of [`Campaign::evaluate_coded`] per point,
+    /// for any thread count.
     ///
     /// # Example
     ///
@@ -450,7 +449,7 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CoreError::InvalidArgument`] on factor-count mismatch;
-    /// propagates the first simulation error encountered.
+    /// otherwise the error of the first failing point, in point order.
     pub fn run_design(&self, design: &Design, threads: usize) -> Result<CampaignResult> {
         if design.k() != self.space.k() {
             return Err(CoreError::invalid(format!(
@@ -462,17 +461,14 @@ impl Campaign {
         let start = Instant::now(); // lint:allow(D2): campaign wall time is reporting-only, never a response
         let points: Vec<Vec<f64>> = design.points().to_vec();
         let n = points.len();
-        let responses = match run_design_batched(
+        let responses = run_points(
             &self.space,
             &self.configure,
             &self.indicators,
             &[&self.scenario],
             &points,
             threads,
-        ) {
-            Some(batched) => batched?,
-            None => run_jobs(n, threads, |j| self.evaluate_coded(&points[j]))?,
-        };
+        )?;
         let physical: Vec<Vec<f64>> = points.iter().map(|p| self.space.decode(p)).collect();
         Ok(CampaignResult {
             coded: points,
@@ -484,179 +480,64 @@ impl Campaign {
     }
 }
 
-/// Runs `n_jobs` independent simulation jobs across up to `threads`
-/// scoped worker threads, preserving job order.
+/// Runs every `(design point × scenario)` job on the lane dispatcher
+/// ([`dispatch::run_lanes`]): one lane per point, one run per scenario.
+/// Returns the indicator rows in point-major, scenario-minor job order.
 ///
-/// Scheduling is a deterministic self-scheduling queue: workers claim
-/// the next job index from a shared atomic counter, so a worker that
-/// drew short jobs immediately picks up more work and a heterogeneous
-/// job mix (e.g. an ensemble whose scenarios differ in duration) no
-/// longer runs at the pace of the slowest static chunk. Each result is
-/// written to the slot indexed by its job, so the output vector — and
-/// therefore every downstream RSM fit and CSV artefact — is
-/// bit-identical for any thread count, including the sequential path.
-///
-/// Error semantics: the error of the smallest failing job index is
-/// returned, independent of thread count. (Claims are issued in index
-/// order, so every job below the first failing index has been claimed
-/// before the failure is observed and completes; remaining unclaimed
-/// jobs are abandoned once a failure is flagged.)
-fn run_jobs<T: Send>(
-    n_jobs: usize,
-    threads: usize,
-    job: impl Fn(usize) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Mutex, PoisonError};
-
-    let threads = threads.clamp(1, n_jobs.max(1));
-    if threads == 1 {
-        // Sequential reference path: strict job order, first error wins.
-        let mut out = Vec::with_capacity(n_jobs);
-        for j in 0..n_jobs {
-            out.push(job(j)?);
-        }
-        return Ok(out);
-    }
-
-    // One slot per job; a worker is the only writer of the slots it
-    // claimed, so every lock is uncontended and the output ordering is
-    // fixed by construction.
-    let slots: Vec<Mutex<Option<Result<T>>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= n_jobs {
-                    break;
-                }
-                let r = job(j);
-                if r.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                *slots[j].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n_jobs);
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            // Slots are claimed as a contiguous prefix, so an unclaimed
-            // slot can only sit behind a failing one (or a worker that
-            // died before writing its result back).
-            None => {
-                return Err(CoreError::invalid(
-                    "job slot left unclaimed by a failed worker",
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Upper bound on the lane width of one batched-dispatch chunk. Wide
-/// enough to keep the lock-step PPU rounds full of independent chains,
-/// small enough that a chunk's SoA state stays cache-resident and the
-/// chunk count still load-balances across the worker queue.
-const MAX_BATCH_WIDTH: usize = 64;
-
-/// Attempts to run the flattened `(design point × scenario)` job list
-/// through the SoA batch kernel ([`BatchSimulator`]) instead of one
-/// [`SystemSimulator`] per job.
-///
-/// Dispatch rules — the group must be *homogeneous* (one tick program):
-///
-/// * every point's configuration must prepare successfully and share
-///   the same `tick_s` (compared bitwise); a custom [`Configure`] that
-///   varies the tick per point falls back to the per-sim path, as does
-///   any preparation failure (the fallback then reproduces the exact
-///   per-sim error at the right job index);
-/// * with a multi-scenario ensemble, the point count must reach the
-///   thread count — below that, per-sim scheduling over the flattened
-///   jobs exposes more parallelism than point-chunked batches would.
-///
-/// Returns `None` to request the per-sim fallback. On the batched path
-/// the responses are **bit-identical** to the per-sim path (the kernel's
-/// lane-for-lane bit-exactness contract), job order is preserved, and a
-/// mid-run failure surfaces the error of the smallest failing job
-/// index: chunks are contiguous point ranges run through the same
-/// deterministic queue, and within a chunk lanes are scanned in
-/// point-major, scenario-minor order — exactly the flattened job order.
-fn run_design_batched(
+/// The batch kernel is bit-identical to the per-sim path lane for lane,
+/// so the rows and errors are those of one [`SystemSimulator`] per job,
+/// for any thread count. The error is the smallest failing job's. Points
+/// are prepared in order up to the first failure, whose error is that
+/// point's first job's, so only the points before it are simulated and
+/// a run-time failure at an earlier job still wins.
+fn run_points(
     space: &DesignSpace,
     configure: &Configure,
     indicators: &[Indicator],
     scenarios: &[&Scenario],
     points: &[Vec<f64>],
     threads: usize,
-) -> Option<Result<Vec<Vec<f64>>>> {
-    let n_points = points.len();
-    let n_scen = scenarios.len();
-    if n_points == 0 || n_scen == 0 {
-        return Some(Ok(Vec::new()));
-    }
-    if n_scen > 1 && n_points < threads {
-        return None;
-    }
-    let cfgs: Vec<NodeConfig> = points
-        .iter()
-        .map(|p| (configure)(&space.decode(p)))
-        .collect();
-    let prepared: Vec<PreparedSimulator> = match cfgs
-        .iter()
-        .map(|cfg| PreparedSimulator::new(cfg.clone()))
-        .collect()
-    {
-        Ok(v) => v,
-        Err(_) => return None,
-    };
-    let tick0 = prepared[0].config().tick_s.to_bits();
-    if prepared
-        .iter()
-        .any(|p| p.config().tick_s.to_bits() != tick0)
-    {
-        return None;
-    }
-
-    // Contiguous point chunks, one batch per chunk; chunk order is
-    // point order, so the queue's smallest-failing-job contract
-    // composes across chunks.
-    let width = n_points
-        .div_ceil(threads.clamp(1, n_points))
-        .clamp(1, MAX_BATCH_WIDTH);
-    let n_chunks = n_points.div_ceil(width);
-    let per_chunk = run_jobs(n_chunks, threads, |ci| {
-        let lo = ci * width;
-        let hi = (lo + width).min(n_points);
-        let batch = BatchSimulator::new(prepared[lo..hi].to_vec())?;
-        let per_scenario: Vec<Vec<ehsim_node::Result<_>>> = scenarios
-            .iter()
-            .map(|sc| batch.run_lanes(sc.source().as_ref(), sc.duration_s()))
-            .collect::<ehsim_node::Result<_>>()?;
-        let mut cells: Vec<Vec<f64>> = Vec::with_capacity((hi - lo) * n_scen);
-        for lane in 0..(hi - lo) {
-            for lanes in &per_scenario {
-                match &lanes[lane] {
-                    Ok(metrics) => cells.push(
-                        indicators
-                            .iter()
-                            .map(|ind| ind.extract(metrics, &cfgs[lo + lane]))
-                            .collect(),
-                    ),
-                    Err(e) => return Err(e.clone().into()),
-                }
+) -> Result<Vec<Vec<f64>>> {
+    let mut lanes = Vec::with_capacity(points.len());
+    let mut prepare_error = None;
+    for p in points {
+        match PreparedSimulator::new((configure)(&space.decode(p))) {
+            Ok(lane) => lanes.push(lane),
+            Err(e) => {
+                prepare_error = Some(e);
+                break;
             }
         }
-        Ok(cells)
-    });
-    Some(per_chunk.map(|chunks| chunks.into_iter().flatten().collect()))
+    }
+    let durations: Vec<[f64; 1]> = scenarios.iter().map(|sc| [sc.duration_s()]).collect();
+    let runs: Vec<LaneRun<'_>> = scenarios
+        .iter()
+        .zip(&durations)
+        .map(|(sc, duration)| LaneRun {
+            excitation: Excitation::Shared(sc.source().as_ref()),
+            checkpoints: duration,
+        })
+        .collect();
+    let per_run = dispatch::run_lanes(&lanes, &runs, threads)?;
+    let mut rows = Vec::with_capacity(lanes.len() * scenarios.len());
+    for (p, lane) in lanes.iter().enumerate() {
+        // Each run has one checkpoint: the scenario's duration.
+        for snapshot in per_run.iter().flatten() {
+            match &snapshot[p] {
+                Ok(metrics) => rows.push(
+                    indicators
+                        .iter()
+                        .map(|ind| ind.extract(metrics, lane.config()))
+                        .collect(),
+                ),
+                Err(e) => return Err(e.clone().into()),
+            }
+        }
+    }
+    match prepare_error {
+        Some(e) => Err(e.into()),
+        None => Ok(rows),
+    }
 }
 
 impl std::fmt::Debug for Campaign {
@@ -838,26 +719,22 @@ impl EnsembleCampaign {
     }
 
     /// Runs every `(design point, scenario)` pair in one batched pass
-    /// using up to `threads` worker threads. The flattened job list is
-    /// drained through a self-scheduling queue, so a four-point design
-    /// over a five-scenario ensemble keeps 8 threads busy with 20 jobs
-    /// rather than running five sequential 4-job campaigns — and
-    /// scenarios of very different cost (a 20-minute stationary hum
-    /// next to an hour-long drift) cannot strand a worker on one static
-    /// chunk while the others idle. Responses are written to
-    /// job-indexed slots, so results are bit-identical for any thread
+    /// using up to `threads` worker threads. The points run as lanes of
+    /// the SoA batch kernel ([`dispatch::run_lanes`]), and every
+    /// (point chunk, scenario) pair is one job of a self-scheduling
+    /// queue, so a four-point design over a five-scenario ensemble
+    /// keeps 8 threads busy with 20 jobs — and scenarios of very
+    /// different cost (a 20-minute stationary hum next to an hour-long
+    /// drift) cannot strand a worker on one static chunk while the
+    /// others idle. The kernel is bit-identical to the per-sim path
+    /// lane for lane, so results are bit-identical for any thread
     /// count.
-    ///
-    /// When the design is homogeneous (one tick program) and at least
-    /// as many points as threads, the flattened jobs are dispatched to
-    /// the SoA batch kernel ([`BatchSimulator`]) in contiguous point
-    /// chunks — bit-identical to the per-sim path lane for lane;
-    /// otherwise every job runs its own [`SystemSimulator`].
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidArgument`] on factor-count mismatch;
-    /// propagates the first simulation error encountered.
+    /// otherwise the error of the first failing `(point, scenario)`
+    /// job, in point-major, scenario-minor order.
     pub fn run_design(&self, design: &Design, threads: usize) -> Result<EnsembleCampaignResult> {
         if design.k() != self.space.k() {
             return Err(CoreError::invalid(format!(
@@ -871,27 +748,16 @@ impl EnsembleCampaign {
         let n_points = points.len();
         let n_scen = self.ensemble.len();
         let n_jobs = n_points * n_scen;
-        // Job j simulates point j / n_scen against scenario j % n_scen.
+        // Row j holds point j / n_scen against scenario j % n_scen.
         let scenarios: Vec<&Scenario> = (0..n_scen).map(|s| self.ensemble.scenario(s)).collect();
-        let responses = match run_design_batched(
+        let responses = run_points(
             &self.space,
             &self.configure,
             &self.indicators,
             &scenarios,
             &points,
             threads,
-        ) {
-            Some(batched) => batched?,
-            None => run_jobs(n_jobs, threads, |j| {
-                simulate_point(
-                    &self.space,
-                    &self.configure,
-                    &self.indicators,
-                    self.ensemble.scenario(j % n_scen),
-                    &points[j / n_scen],
-                )
-            })?,
-        };
+        )?;
         let wall = start.elapsed();
         let physical: Vec<Vec<f64>> = points.iter().map(|p| self.space.decode(p)).collect();
         let weights = self.ensemble.weights();

@@ -235,12 +235,10 @@ impl CachedEvaluator {
         }
         let mut out = Vec::with_capacity(points.len());
         for key in &keys {
-            out.push(
-                self.cache
-                    .get(key)
-                    .expect("every requested point is cached by now")
-                    .clone(),
-            );
+            let response = self.cache.get(key).ok_or_else(|| {
+                CoreError::invalid("a requested point is missing from the cache after its batch")
+            })?;
+            out.push(response.clone());
         }
         self.hits += points.len() - need;
         Ok(out)

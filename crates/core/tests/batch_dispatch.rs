@@ -1,11 +1,11 @@
 //! Campaign-level batched-dispatch equivalence tests.
 //!
-//! `Campaign::run_design` / `EnsembleCampaign::run_design` dispatch
-//! homogeneous designs to the SoA batch kernel. These tests pin the
-//! dispatch contract: responses are bit-identical to the per-point
-//! `evaluate_coded` oracle for every thread count, heterogeneous
-//! designs fall back to the per-sim path with identical results, and a
-//! mid-run failure surfaces the per-sim error.
+//! `Campaign::run_design` / `EnsembleCampaign::run_design` run every
+//! design point as a lane of the SoA batch kernel, grouped by tick
+//! program. These tests pin the dispatch contract: responses are
+//! bit-identical to the per-point `evaluate_coded` oracle for every
+//! thread count, designs that mix tick lengths give identical results,
+//! and a mid-run failure surfaces the per-sim error.
 
 use ehsim_core::experiment::{
     Campaign, Configure, EnsembleCampaign, PolicyFactorSet, PolicyFactors, StandardFactors,
@@ -113,9 +113,9 @@ fn ensemble_campaign_matches_oracle_and_is_thread_count_invariant() {
         oracle_aggregate.push(aggregate);
     }
 
-    // 16 points over 8 threads takes the batched path; 32 threads over
-    // a 2-scenario ensemble exceeds the point count and falls back to
-    // per-sim scheduling — both must match the oracle bit for bit.
+    // 16 points over 8 threads run in 2-lane chunks; 32 threads exceed
+    // the point count and run 1-lane chunks, one job per (point,
+    // scenario) — both must match the oracle bit for bit.
     for threads in [1, 2, 8, 32] {
         let result = campaign.run_design(&design, threads).unwrap();
         assert_eq!(result.aggregate.sim_count, 32);
@@ -135,9 +135,9 @@ fn ensemble_campaign_matches_oracle_and_is_thread_count_invariant() {
 }
 
 #[test]
-fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
-    // A configure that varies tick_s across the design box: no shared
-    // tick program, so dispatch must take the per-sim fallback.
+fn mixed_tick_design_matches_oracle() {
+    // A configure that varies tick_s across the design box: two tick
+    // programs, each batched on its own.
     let configure: Configure = Arc::new(|phys: &[f64]| {
         let mut cfg = NodeConfig::default_node();
         cfg.storage.capacitance = phys[0];
@@ -151,8 +151,8 @@ fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
     ])
     .unwrap();
     let campaign = Campaign::new(
-        space,
-        configure,
+        space.clone(),
+        configure.clone(),
         Scenario::stationary_machine(600.0),
         indicators(),
     )
@@ -168,7 +168,36 @@ fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
         assert_rows_bitwise_eq(
             &result.responses,
             &oracle,
-            &format!("heterogeneous-tick campaign, {threads} threads"),
+            &format!("mixed-tick campaign, {threads} threads"),
+        );
+    }
+
+    let ensemble = ScenarioEnsemble::uniform(vec![
+        Scenario::stationary_machine(600.0),
+        Scenario::drifting_machine(300.0),
+    ])
+    .unwrap();
+    let campaign = EnsembleCampaign::new(space, configure, ensemble, indicators()).unwrap();
+    let oracle: Vec<(Vec<Vec<f64>>, Vec<f64>)> = design
+        .points()
+        .iter()
+        .map(|p| campaign.evaluate_coded(p).unwrap())
+        .collect();
+    for threads in THREAD_COUNTS {
+        let result = campaign.run_design(&design, threads).unwrap();
+        for s in 0..2 {
+            let want: Vec<Vec<f64>> = oracle.iter().map(|(per, _)| per[s].clone()).collect();
+            assert_rows_bitwise_eq(
+                &result.per_scenario[s].responses,
+                &want,
+                &format!("mixed-tick ensemble scenario {s}, {threads} threads"),
+            );
+        }
+        let want: Vec<Vec<f64>> = oracle.iter().map(|(_, agg)| agg.clone()).collect();
+        assert_rows_bitwise_eq(
+            &result.aggregate.responses,
+            &want,
+            &format!("mixed-tick ensemble aggregate, {threads} threads"),
         );
     }
 }

@@ -8,18 +8,18 @@
 //!
 //! 1. **Node phase** — every node's `ehsim-node` simulation runs
 //!    against its own vibration stream (seeds split from the fleet
-//!    seed via [`crate::node_seed`]). Homogeneous fleets (all lanes
-//!    sharing the tick length, bit for bit) auto-dispatch to
-//!    contiguous [`BatchSimulator`] chunks of at most
-//!    [`MAX_BATCH_WIDTH`] lanes; heterogeneous (mixed-tick) fleets
-//!    fall back to per-sim jobs. Both paths run on the same
-//!    deterministic self-scheduling queue, and the batch kernel is
-//!    bit-identical lane-for-lane to the per-sim path, so **the node
-//!    metrics do not depend on the dispatch strategy or the thread
-//!    count**. Per-node failures are captured individually
-//!    ([`FleetSimulator::run_nodes`]); the aggregate entry points
-//!    surface the **smallest failing node index** as a typed
-//!    [`NetError::Node`].
+//!    seed via [`crate::node_seed`]). The nodes run as lanes of the
+//!    batch kernel through `ehsim-node`'s lane dispatcher
+//!    ([`dispatch::run_lanes`]), which groups them by tick program and
+//!    cuts each group into contiguous [`ehsim_node::BatchSimulator`]
+//!    chunks of at most [`dispatch::MAX_BATCH_WIDTH`] lanes, so
+//!    mixed-tick fleets run batched too. [`Dispatch::PerSim`] runs one
+//!    [`PreparedSimulator`] per node instead, on the same deterministic
+//!    queue. The batch kernel is bit-identical lane-for-lane to the
+//!    per-sim path, so **the node metrics do not depend on the dispatch
+//!    strategy or the thread count**. Per-node failures are captured
+//!    individually ([`FleetSimulator::run_nodes`]); the aggregate entry
+//!    points surface a typed [`NetError::Node`].
 //!
 //! 2. **Network phase** — a sequential, node-index-ordered energy
 //!    accounting pass per epoch. Packets originate at each node
@@ -47,8 +47,8 @@
 //! baseline route repair is measured against.
 //!
 //! The node phase runs **once** per fleet run and is snapshotted at
-//! every epoch boundary ([`PreparedSimulator::run_checkpoints`],
-//! [`BatchSimulator::run_lanes_with_sources`]). The tick loop never
+//! every epoch boundary ([`dispatch::run_lanes`],
+//! [`PreparedSimulator::run_checkpoints`]). The tick loop never
 //! reads the run's duration (the vibration sources are pure functions
 //! of time), so a boundary snapshot is bit-identical to a fresh run of
 //! that prefix and per-epoch deltas are exact — at `route_epochs = 1`
@@ -64,20 +64,17 @@
 //! phase's bit-exactness contract: identical [`FleetSpec`]s give
 //! bit-identical metrics for any thread count and dispatch.
 
-use crate::sched::{run_jobs, run_jobs_capturing};
 use crate::topology::{Routes, Topology};
 use crate::{NetError, Point, RadioEnergyModel, Result};
-use ehsim_node::{BatchSimulator, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode};
+use ehsim_node::dispatch::{self, run_jobs, LaneRun};
+use ehsim_node::{
+    Excitation, NodeConfig, NodeError, NodeMetrics, PreparedSimulator, SolverMode, MAX_TICKS,
+};
 use ehsim_vibration::{FilteredNoise, VibrationSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::sync::Arc;
-
-/// Upper bound on the lane width of one batched-dispatch chunk —
-/// mirrors the campaign scheduler's bound (wide enough to fill the
-/// lock-step PPU rounds, small enough to stay cache-resident).
-pub const MAX_BATCH_WIDTH: usize = 64;
 
 /// How packets are routed to the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,12 +286,11 @@ impl FleetSpec {
 /// Node-phase dispatch strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Batched chunks when the fleet is homogeneous, per-sim
-    /// otherwise (the default).
+    /// Batch-kernel chunks grouped by tick program
+    /// ([`dispatch::run_lanes`]; the default).
     Auto,
-    /// Force batched chunks; errors on a heterogeneous fleet.
-    Batched,
-    /// Force one job per node (the differential-testing oracle path).
+    /// One [`PreparedSimulator::run_checkpoints`] job per node (the
+    /// differential-testing oracle path).
     PerSim,
 }
 
@@ -386,7 +382,6 @@ pub struct FleetSimulator {
     prepared: Vec<PreparedSimulator>,
     sources: Vec<Arc<dyn VibrationSource>>,
     topology: Topology,
-    homogeneous: bool,
 }
 
 impl FleetSimulator {
@@ -418,11 +413,13 @@ impl FleetSimulator {
     /// # Errors
     ///
     /// [`NetError::InvalidParameter`] for an empty fleet, a
-    /// non-positive payload, an invalid duration, zero route epochs or
-    /// more route epochs than the run has ticks at the fleet's largest
-    /// `tick_s`, an invalid topology, or an environment-factory failure
-    /// (smallest failing node); [`NetError::Node`] (smallest failing
-    /// index) if a node config fails preparation.
+    /// non-positive payload, a duration that is not positive and finite
+    /// or needs more than [`MAX_TICKS`] ticks at the fleet's smallest
+    /// `tick_s`, zero route epochs or more route epochs than the run
+    /// has ticks at the fleet's largest `tick_s`, an invalid topology,
+    /// or an environment-factory failure (smallest failing node);
+    /// [`NetError::Node`] (smallest failing index) if a node config
+    /// fails preparation.
     pub fn prepare(spec: FleetSpec, threads: usize) -> Result<Self> {
         if spec.nodes.is_empty() {
             return Err(NetError::invalid("fleet needs at least one node"));
@@ -441,10 +438,7 @@ impl FleetSimulator {
                 "route_epochs must be at least 1 (1 = static routing)",
             ));
         }
-        // Total validation on the capturing queue: every node's result
-        // exists, and the ascending scan below makes the
-        // smallest-failing-node error thread-count-invariant.
-        let results = run_jobs_capturing(spec.nodes.len(), threads, |i| {
+        let prepare_node = |i: usize| -> Result<(PreparedSimulator, Arc<dyn VibrationSource>)> {
             let prepared =
                 PreparedSimulator::with_solver(spec.nodes[i].config.clone(), spec.solver)
                     .map_err(|source| NetError::Node { node: i, source })?;
@@ -453,7 +447,13 @@ impl FleetSimulator {
                 .source_for(crate::node_seed(spec.fleet_seed, i))
                 .map_err(|e| NetError::invalid(format!("node {i}: {e}")))?;
             Ok((prepared, source))
-        });
+        };
+        // Every node's own result lands in its slot, and the ascending
+        // scan below reports the smallest failing node at any thread count.
+        let results = run_jobs(spec.nodes.len(), threads, |i| {
+            Ok::<_, NodeError>(prepare_node(i))
+        })
+        .map_err(scheduler_error)?;
         let mut prepared = Vec::with_capacity(spec.nodes.len());
         let mut sources: Vec<Arc<dyn VibrationSource>> = Vec::with_capacity(spec.nodes.len());
         for r in results {
@@ -461,12 +461,20 @@ impl FleetSimulator {
             prepared.push(p);
             sources.push(s);
         }
+        let ticks = prepared.iter().map(|p| p.config().tick_s);
+        let min_tick_s = ticks.clone().fold(f64::INFINITY, f64::min);
+        let max_tick_s = ticks.fold(0.0, f64::max);
+        // Every node must be able to run the whole duration.
+        let fine_ticks = (spec.duration_s / min_tick_s).round();
+        if fine_ticks > MAX_TICKS {
+            return Err(NetError::invalid(format!(
+                "duration of {} s needs {fine_ticks:.3e} ticks at the fleet's smallest \
+                 tick_s = {min_tick_s} s, above the {MAX_TICKS:.3e}-tick bound",
+                spec.duration_s
+            )));
+        }
         // Every epoch must span at least one tick of the coarsest-ticking
         // node; more epochs would only add empty audits and snapshots.
-        let max_tick_s = prepared
-            .iter()
-            .map(|p| p.config().tick_s)
-            .fold(0.0, f64::max);
         let run_ticks = (spec.duration_s / max_tick_s).round().max(1.0);
         if spec.route_epochs as f64 > run_ticks {
             return Err(NetError::invalid(format!(
@@ -477,15 +485,11 @@ impl FleetSimulator {
         }
         let positions: Vec<Point> = spec.nodes.iter().map(|n| n.position).collect();
         let topology = Topology::new(positions, spec.sink, spec.range_m)?;
-        let homogeneous = prepared
-            .windows(2)
-            .all(|w| w[0].config().tick_s.to_bits() == w[1].config().tick_s.to_bits());
         Ok(FleetSimulator {
             spec,
             prepared,
             sources,
             topology,
-            homogeneous,
         })
     }
 
@@ -502,12 +506,6 @@ impl FleetSimulator {
     /// Fleet size.
     pub fn node_count(&self) -> usize {
         self.prepared.len()
-    }
-
-    /// Whether every lane shares the tick length (bitwise) — the
-    /// batched-dispatch eligibility test.
-    pub fn is_homogeneous(&self) -> bool {
-        self.homogeneous
     }
 
     /// The prepared per-node simulators (oracle access for the
@@ -527,8 +525,8 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// [`NetError::InvalidParameter`] if `dispatch` is
-    /// [`Dispatch::Batched`] on a heterogeneous fleet.
+    /// [`NetError::InvalidParameter`] only if the node scheduler itself
+    /// fails; node failures are inside the returned vector.
     pub fn run_nodes(
         &self,
         threads: usize,
@@ -566,65 +564,48 @@ impl FleetSimulator {
         dispatch: Dispatch,
         checkpoints: &[f64],
     ) -> Result<Vec<Vec<ehsim_node::Result<NodeMetrics>>>> {
-        let batched = match dispatch {
-            Dispatch::Auto => self.homogeneous,
-            Dispatch::PerSim => false,
-            Dispatch::Batched => {
-                if !self.homogeneous {
-                    return Err(NetError::invalid(
-                        "batched dispatch requires a homogeneous (shared-tick) fleet",
-                    ));
-                }
-                true
+        match dispatch {
+            Dispatch::Auto => {
+                let sources: Vec<&dyn VibrationSource> =
+                    self.sources.iter().map(|s| s.as_ref()).collect();
+                let run = LaneRun {
+                    excitation: Excitation::PerLane(&sources),
+                    checkpoints,
+                };
+                dispatch::run_lanes(&self.prepared, &[run], threads)
+                    .map_err(scheduler_error)?
+                    .pop()
+                    .ok_or_else(|| NetError::invalid("node phase returned no run"))
             }
-        };
-        let n = self.prepared.len();
-        let mut snapshots: Vec<Vec<_>> =
-            checkpoints.iter().map(|_| Vec::with_capacity(n)).collect();
-        if batched {
-            // Contiguous chunks, one batch kernel per chunk. The chunk
-            // width depends only on (n, threads) and results are
-            // collected in chunk order, so the node-ordered output is
-            // invariant to scheduling.
-            let width = n.div_ceil(threads.clamp(1, n)).clamp(1, MAX_BATCH_WIDTH);
-            let n_chunks = n.div_ceil(width);
-            let chunks = run_jobs(n_chunks, threads, |c| {
-                let lo = c * width;
-                let hi = ((c + 1) * width).min(n);
-                let batch = BatchSimulator::new(self.prepared[lo..hi].to_vec())
-                    .map_err(|source| NetError::Node { node: lo, source })?;
-                let srcs: Vec<&dyn VibrationSource> =
-                    self.sources[lo..hi].iter().map(|s| s.as_ref()).collect();
-                batch
-                    .run_lanes_with_sources(&srcs, checkpoints)
-                    .map_err(|source| NetError::Node { node: lo, source })
-            })?;
-            for chunk in chunks {
-                for (snapshot, lanes) in snapshots.iter_mut().zip(chunk) {
-                    snapshot.extend(lanes);
+            Dispatch::PerSim => {
+                // A rejected checkpoint list fails every snapshot, as on
+                // the batched path.
+                let nodes = run_jobs(self.prepared.len(), threads, |i| {
+                    Ok::<_, NodeError>(
+                        self.prepared[i]
+                            .run_checkpoints(self.sources[i].as_ref(), checkpoints)
+                            .unwrap_or_else(|e| vec![Err(e); checkpoints.len()]),
+                    )
+                })
+                .map_err(scheduler_error)?;
+                let mut snapshots = vec![Vec::new(); checkpoints.len()];
+                for node in nodes {
+                    for (snapshot, lane) in snapshots.iter_mut().zip(node) {
+                        snapshot.push(lane);
+                    }
                 }
-            }
-        } else {
-            let nodes = run_jobs(n, threads, |i| {
-                self.prepared[i]
-                    .run_checkpoints(self.sources[i].as_ref(), checkpoints)
-                    .map_err(|source| NetError::Node { node: i, source })
-            })?;
-            for node in nodes {
-                for (snapshot, lane) in snapshots.iter_mut().zip(node) {
-                    snapshot.push(lane);
-                }
+                Ok(snapshots)
             }
         }
-        Ok(snapshots)
     }
 
     /// Runs the fleet with auto dispatch.
     ///
     /// # Errors
     ///
-    /// [`NetError::Node`] with the **smallest failing node index** if
-    /// any node simulation fails.
+    /// [`NetError::Node`] if any node simulation fails: the earliest
+    /// route epoch in which a node fails, at the smallest failing node
+    /// within it.
     pub fn run(&self, threads: usize) -> Result<FleetOutcome> {
         self.run_with_dispatch(threads, Dispatch::Auto)
     }
@@ -633,9 +614,7 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// As [`FleetSimulator::run`], plus
-    /// [`NetError::InvalidParameter`] for a forced-batched dispatch of
-    /// a heterogeneous fleet.
+    /// As [`FleetSimulator::run`].
     pub fn run_with_dispatch(&self, threads: usize, dispatch: Dispatch) -> Result<FleetOutcome> {
         // One node phase, snapshotted at every epoch boundary. Each
         // snapshot is bit-identical to a fresh run of that epoch's
@@ -940,6 +919,12 @@ impl FleetSimulator {
     }
 }
 
+/// `ehsim-node`'s queue and dispatcher fail as a whole only when a run
+/// is malformed or a job slot goes unclaimed — never for one node.
+fn scheduler_error(e: NodeError) -> NetError {
+    NetError::invalid(format!("node scheduler: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,7 +947,6 @@ mod tests {
     #[test]
     fn fleet_runs_and_accounts() {
         let fleet = FleetSimulator::new(tiny_spec(12, 30.0)).unwrap();
-        assert!(fleet.is_homogeneous());
         let out = fleet.run(2).unwrap();
         assert_eq!(out.per_node.len(), 12);
         assert_eq!(out.net.len(), 12);
@@ -978,8 +962,8 @@ mod tests {
         let fleet = FleetSimulator::new(tiny_spec(10, 30.0)).unwrap();
         let base = fleet.run_with_dispatch(1, Dispatch::PerSim).unwrap();
         for (threads, dispatch) in [
-            (1, Dispatch::Batched),
-            (4, Dispatch::Batched),
+            (1, Dispatch::Auto),
+            (4, Dispatch::Auto),
             (4, Dispatch::PerSim),
         ] {
             let out = fleet.run_with_dispatch(threads, dispatch).unwrap();
@@ -998,17 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_batched_rejects_mixed_ticks() {
-        let mut spec = tiny_spec(4, 10.0);
-        spec.nodes[2].config.tick_s = 0.25;
-        let fleet = FleetSimulator::new(spec).unwrap();
-        assert!(!fleet.is_homogeneous());
-        assert!(fleet.run_with_dispatch(2, Dispatch::Batched).is_err());
-        // Auto falls back per-sim and still runs.
-        assert!(fleet.run(2).is_ok());
-    }
-
-    #[test]
     fn empty_fleet_and_zero_payload_rejected() {
         let mut spec = tiny_spec(3, 10.0);
         spec.payload_bits = 0;
@@ -1019,6 +992,23 @@ mod tests {
         let mut spec = tiny_spec(3, 10.0);
         spec.duration_s = f64::INFINITY;
         assert!(FleetSimulator::new(spec).is_err());
+
+        // Every node must fit the duration under the tick-count bound:
+        // 1e16 s is 2e16 ticks at 0.5 s but 1e15 ticks at 10 s.
+        let duration_ok = |duration_s: f64, ticks_s: [f64; 3]| {
+            let mut spec = tiny_spec(3, duration_s);
+            for (node, tick_s) in spec.nodes.iter_mut().zip(ticks_s) {
+                node.config.tick_s = tick_s;
+            }
+            match FleetSimulator::new(spec) {
+                Ok(_) => true,
+                Err(NetError::InvalidParameter { .. }) => false,
+                Err(other) => panic!("{duration_s} s: unexpected error {other:?}"),
+            }
+        };
+        assert!(!duration_ok(1e300, [0.5; 3]));
+        assert!(!duration_ok(1e16, [0.5, 10.0, 10.0]));
+        assert!(duration_ok(1e16, [10.0; 3]));
 
         // Route epochs run from 1 to the tick count at the largest
         // tick_s: 10 s at 0.5 s is 20 ticks.

@@ -21,8 +21,9 @@
 //!   (BFS) and energy-aware (Dijkstra) routing with typed
 //!   unreachable-sink errors.
 //! * [`fleet`] — the [`FleetSimulator`]: per-node vibration streams
-//!   split from one fleet seed, batched/per-sim dispatch, and the
-//!   deterministic network-energy accounting pass.
+//!   split from one fleet seed, a node phase on `ehsim-node`'s job
+//!   queue and lane dispatcher, and the deterministic network-energy
+//!   accounting pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,6 @@
 pub mod fleet;
 pub mod placement;
 pub mod radio;
-mod sched;
 pub mod topology;
 
 pub use fleet::{
@@ -66,9 +66,10 @@ pub enum NetError {
         /// Smallest stranded node index.
         node: usize,
     },
-    /// A node simulation failed; carries the **smallest** failing node
-    /// index (matching the batch kernel's smallest-failing-lane
-    /// contract) and the node-level error.
+    /// A node failed to prepare or to simulate; carries the failing
+    /// node index and the node-level error. Prep reports the smallest
+    /// failing node; a run reports the smallest failing node of the
+    /// earliest route epoch in which any node fails.
     Node {
         /// Index of the failing node.
         node: usize,

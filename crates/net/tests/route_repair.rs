@@ -64,7 +64,7 @@ fn fixture_spec(route_epochs: usize) -> FleetSpec {
     // inside epoch 2 of 4 — after relaying faithfully through epochs
     // 0 and 1. Tuning is disabled because the startup retune's
     // actuation energy (~78 mJ) would empty the small cap instantly.
-    // Same tick, so the fleet stays batched-dispatch eligible.
+    // Same tick, so every node shares one batch.
     let mut relay_cfg = cfg.clone();
     relay_cfg.storage.capacitance = 0.008;
     relay_cfg.tuning.enabled = false;
@@ -387,10 +387,10 @@ fn repaired_run_is_bit_identical_across_threads_and_dispatch() {
         .expect("base run");
     assert_eq!(base.metrics.route_repairs, 1);
     for (threads, dispatch) in [
-        (1, Dispatch::Batched),
+        (1, Dispatch::Auto),
         (2, Dispatch::Auto),
         (2, Dispatch::PerSim),
-        (8, Dispatch::Batched),
+        (8, Dispatch::PerSim),
         (8, Dispatch::Auto),
     ] {
         let out = fleet

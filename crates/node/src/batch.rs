@@ -27,13 +27,13 @@
 //! to running each [`PreparedSimulator`] alone**, for every solver
 //! mode, duty-cycle policy and energy policy; the per-sim path remains
 //! the oracle and `tests/batch_equivalence.rs` asserts the contract
-//! across widths, policies and workloads. This is what lets
-//! `ehsim-core` campaigns dispatch homogeneous job groups to the batch
-//! kernel without perturbing a single CSV byte.
+//! across widths, policies and workloads. This is what lets the lane
+//! dispatcher ([`crate::dispatch`]) run every campaign and fleet lane on
+//! the batch kernel without perturbing a single CSV byte.
 //!
 //! # Checkpoints
 //!
-//! [`BatchSimulator::run_lanes_with_sources`] runs the batch once to
+//! [`BatchSimulator::run_checkpoints`] runs the batch once to
 //! the last of a nondecreasing list of checkpoint durations and
 //! snapshots every lane at each, so a caller that needs the metrics at
 //! several horizons pays for one run instead of one per horizon. The
@@ -53,14 +53,14 @@
 //! are unaffected. A lane that fails at tick `j` is `Ok` at every
 //! checkpoint of at most `j` ticks and a clone of its error at every
 //! later one. [`BatchSimulator::run`] fails with the error of the
-//! **smallest failing lane index**, matching the campaign scheduler's
-//! smallest-failing-job contract, while [`BatchSimulator::run_lanes`]
-//! exposes the full per-lane `Result` vector.
+//! **smallest failing lane index**, matching the job queue's
+//! smallest-failing-job contract, while
+//! [`BatchSimulator::run_checkpoints`] exposes every lane's own
+//! `Result` at every checkpoint.
 
 use crate::policy::DutyCyclePolicy;
 use crate::sim::{
-    checkpoint_ticks, task_saturation_error, tick_count, NodeMetrics, PreparedSimulator,
-    SolverMode, Tally,
+    checkpoint_ticks, task_saturation_error, NodeMetrics, PreparedSimulator, SolverMode, Tally,
 };
 use crate::tuning::TuningController;
 use crate::{NodeConfig, NodeError, Result};
@@ -117,11 +117,14 @@ impl LaneConst {
     }
 }
 
-/// How the batch is excited: one shared source (the campaign shape —
+/// How a batch is excited: one shared source (the campaign shape —
 /// the envelope is evaluated **once per tick** for the whole batch) or
-/// one source per lane.
-enum SourceBind<'a> {
+/// one source per lane (the fleet shape).
+#[derive(Clone, Copy)]
+pub enum Excitation<'a> {
+    /// One source excites every lane.
     Shared(&'a dyn VibrationSource),
+    /// `sources[i]` excites lane `i`.
     PerLane(&'a [&'a dyn VibrationSource]),
 }
 
@@ -131,8 +134,9 @@ enum SourceBind<'a> {
 ///
 /// All lanes must share one *tick program* — the same `tick_s` (bit
 /// compared) and the same [`SolverMode`] — while every other
-/// configuration constant may vary per lane. Heterogeneous-tick work
-/// belongs on the per-sim path.
+/// configuration constant may vary per lane.
+/// [`crate::dispatch::run_lanes`] groups a mixed lane set by tick
+/// program into such batches.
 #[derive(Debug, Clone)]
 pub struct BatchSimulator {
     lanes: Vec<PreparedSimulator>,
@@ -212,67 +216,51 @@ impl BatchSimulator {
     /// if any lane fails mid-run, the error of the **smallest failing
     /// lane index**.
     pub fn run(&self, source: &dyn VibrationSource, duration_s: f64) -> Result<Vec<NodeMetrics>> {
-        self.run_lanes(source, duration_s)?.into_iter().collect()
+        self.run_checkpoints(Excitation::Shared(source), &[duration_s])?
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
-    /// Runs every lane against one shared source, returning each
-    /// lane's own `Result` (lane failures do not disturb other lanes).
+    /// Runs every lane once, to the last of `checkpoints` — run
+    /// durations (s), nondecreasing — and snapshots every lane at each.
+    /// The result is indexed `[checkpoint][lane]`, and entry `[c][i]` is
+    /// bit-identical to running lane `i` alone against its source for
+    /// `checkpoints[c]` seconds (see the module docs for the checkpoint
+    /// contract). Lane failures do not disturb other lanes.
     ///
     /// # Errors
     ///
-    /// Only for an invalid duration; per-lane failures are inside the
-    /// returned vector.
-    pub fn run_lanes(
+    /// [`NodeError::InvalidParameter`] if an [`Excitation::PerLane`]
+    /// slice does not hold one source per lane, or for an empty,
+    /// decreasing or invalid checkpoint list (each checkpoint is checked
+    /// as a duration); per-lane failures are inside the returned
+    /// vectors.
+    pub fn run_checkpoints(
         &self,
-        source: &dyn VibrationSource,
-        duration_s: f64,
-    ) -> Result<Vec<Result<NodeMetrics>>> {
-        let ticks = [tick_count(duration_s, self.dt)?];
-        self.run_inner(SourceBind::Shared(source), &ticks, &mut Vec::new())
-    }
-
-    /// Runs every lane against its own source (`sources[i]` excites
-    /// lane `i`) once, to the last of `checkpoints` — run durations
-    /// (s), nondecreasing — and snapshots every lane at each. The
-    /// result is indexed `[checkpoint][lane]`, and entry `[c][i]` is
-    /// bit-identical to running lane `i` alone for `checkpoints[c]`
-    /// seconds (see the module docs for the checkpoint contract).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::InvalidParameter`] if `sources.len()` differs from
-    /// the batch width, or for an empty, decreasing or invalid
-    /// checkpoint list (each checkpoint is checked as a duration);
-    /// per-lane failures are inside the returned vectors.
-    pub fn run_lanes_with_sources(
-        &self,
-        sources: &[&dyn VibrationSource],
+        excitation: Excitation<'_>,
         checkpoints: &[f64],
     ) -> Result<Vec<Vec<Result<NodeMetrics>>>> {
-        if sources.len() != self.lanes.len() {
-            return Err(NodeError::invalid(format!(
-                "got {} sources for {} lanes",
-                sources.len(),
-                self.lanes.len()
-            )));
+        if let Excitation::PerLane(sources) = excitation {
+            if sources.len() != self.lanes.len() {
+                return Err(NodeError::invalid(format!(
+                    "got {} sources for {} lanes",
+                    sources.len(),
+                    self.lanes.len()
+                )));
+            }
         }
         let ticks = checkpoint_ticks(checkpoints, self.dt)?;
-        let mut snapshots = Vec::with_capacity(ticks.len());
-        let last = self.run_inner(SourceBind::PerLane(sources), &ticks, &mut snapshots)?;
-        snapshots.push(last);
-        Ok(snapshots)
+        Ok(self.run_inner(excitation, &ticks))
     }
 
     /// The tick loop, run in segments: after `ticks[c]` ticks (a
-    /// validated, nondecreasing list) it snapshots every lane. Every
-    /// snapshot but the last is pushed onto `earlier`; the last is
-    /// returned.
+    /// validated, nondecreasing list) it snapshots every lane.
     fn run_inner(
         &self,
-        bind: SourceBind<'_>,
+        excitation: Excitation<'_>,
         ticks: &[usize],
-        earlier: &mut Vec<Vec<Result<NodeMetrics>>>,
-    ) -> Result<Vec<Result<NodeMetrics>>> {
+    ) -> Vec<Vec<Result<NodeMetrics>>> {
         let w = self.lanes.len();
         let dt = self.dt;
         let warm = self.mode == SolverMode::Warm;
@@ -349,22 +337,23 @@ impl BatchSimulator {
         let mut ok = vec![false; w];
         let mut solver = BatchPpuSolver::new();
 
+        let mut snapshots = Vec::with_capacity(ticks.len());
         let mut k_done = 0;
-        for (cp, &k_end) in ticks.iter().enumerate() {
+        for &k_end in ticks {
             for k in k_done..k_end {
                 if n_alive == 0 {
                     break;
                 }
                 let t = k as f64 * dt;
-                match bind {
-                    SourceBind::Shared(source) => {
+                match excitation {
+                    Excitation::Shared(source) => {
                         let env = source.envelope(t);
                         for i in 0..w {
                             env_f[i] = env.freq_hz;
                             env_a[i] = env.amp;
                         }
                     }
-                    SourceBind::PerLane(sources) => {
+                    Excitation::PerLane(sources) => {
                         for i in 0..w {
                             if alive[i] {
                                 let env = sources[i].envelope(t);
@@ -572,7 +561,7 @@ impl BatchSimulator {
                 }
             }
             k_done = k_end;
-            let snapshot = (0..w)
+            let snapshot: Vec<_> = (0..w)
                 .map(|i| match &err[i] {
                     Some(e) => Err(e.clone()),
                     None => Ok(Tally {
@@ -592,11 +581,8 @@ impl BatchSimulator {
                     .snapshot(k_end, dt)),
                 })
                 .collect();
-            if cp + 1 == ticks.len() {
-                return Ok(snapshot);
-            }
-            earlier.push(snapshot);
+            snapshots.push(snapshot);
         }
-        Err(NodeError::invalid("a run needs at least one checkpoint"))
+        snapshots
     }
 }

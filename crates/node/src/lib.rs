@@ -34,12 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod dispatch;
 pub mod mcu;
 pub mod policy;
 pub mod sim;
 pub mod tuning;
 
-pub use batch::BatchSimulator;
+pub use batch::{BatchSimulator, Excitation};
 pub use mcu::{McuModel, RadioModel, TaskModel};
 pub use policy::DutyCyclePolicy;
 pub use sim::{

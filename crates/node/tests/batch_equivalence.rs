@@ -7,8 +7,8 @@
 
 use ehsim_node::energy_policy::{EnergyAware, PolicyKind, Threshold};
 use ehsim_node::{
-    BatchSimulator, DutyCyclePolicy, NodeConfig, NodeError, NodeMetrics, PreparedSimulator,
-    SolverMode,
+    BatchSimulator, DutyCyclePolicy, Excitation, NodeConfig, NodeError, NodeMetrics,
+    PreparedSimulator, SolverMode,
 };
 use ehsim_vibration::{DriftSchedule, Envelope, Sine, VibrationSource};
 use proptest::prelude::*;
@@ -21,7 +21,7 @@ fn run_per_lane(
     duration_s: f64,
 ) -> Vec<Result<NodeMetrics, NodeError>> {
     let mut snapshots = batch
-        .run_lanes_with_sources(sources, &[duration_s])
+        .run_checkpoints(Excitation::PerLane(sources), &[duration_s])
         .unwrap();
     assert_eq!(snapshots.len(), 1, "one checkpoint, one snapshot");
     snapshots.pop().unwrap()
@@ -204,7 +204,12 @@ fn invalid_durations_rejected_wholesale() {
     let batch = BatchSimulator::from_configs(vec![cfg], SolverMode::Exact).unwrap();
     for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, 1e300] {
         assert!(batch.run(&src, bad).is_err(), "duration {bad}");
-        assert!(batch.run_lanes(&src, bad).is_err(), "duration {bad}");
+        assert!(
+            batch
+                .run_checkpoints(Excitation::Shared(&src), &[bad])
+                .is_err(),
+            "duration {bad}"
+        );
     }
 }
 
@@ -293,8 +298,10 @@ fn shared_poison_source_fails_every_lane_and_run_reports_lane_zero() {
         .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
         .collect();
     let batch = BatchSimulator::new(lanes.clone()).unwrap();
-    let results = batch.run_lanes(&poison, 120.0).unwrap();
-    assert!(results.iter().all(Result::is_err));
+    let results = batch
+        .run_checkpoints(Excitation::Shared(&poison), &[120.0])
+        .unwrap();
+    assert!(results.iter().flatten().all(Result::is_err));
     let run_err = batch.run(&poison, 120.0).unwrap_err();
     let oracle_err = lanes[0].run(&poison, 120.0).unwrap_err();
     assert_eq!(run_err.to_string(), oracle_err.to_string());
@@ -328,7 +335,9 @@ fn assert_checkpoints_match_fresh_runs(
     what: &str,
 ) -> Vec<Vec<Result<NodeMetrics, NodeError>>> {
     let batch = BatchSimulator::new(lanes.to_vec()).unwrap();
-    let batched = batch.run_lanes_with_sources(sources, checkpoints).unwrap();
+    let batched = batch
+        .run_checkpoints(Excitation::PerLane(sources), checkpoints)
+        .unwrap();
     assert_eq!(
         batched.len(),
         checkpoints.len(),
@@ -452,8 +461,10 @@ fn checkpoint_run_exits_early_once_every_lane_is_dead() {
         calls: AtomicUsize::new(0),
     };
     let batch = BatchSimulator::new(lanes).unwrap();
-    let results = batch.run_lanes(&counting, 5000.0).unwrap();
-    assert!(results.iter().all(Result::is_err));
+    let results = batch
+        .run_checkpoints(Excitation::Shared(&counting), &[5000.0])
+        .unwrap();
+    assert!(results.iter().flatten().all(Result::is_err));
     assert_eq!(counting.calls.load(Ordering::Relaxed), 301);
 }
 
@@ -483,7 +494,7 @@ fn checkpoint_lists_that_are_empty_decreasing_or_not_finite_are_rejected() {
             (
                 "batched",
                 batch
-                    .run_lanes_with_sources(&sources, checkpoints)
+                    .run_checkpoints(Excitation::PerLane(&sources), checkpoints)
                     .map(|_| ()),
             ),
         ] {
@@ -496,7 +507,7 @@ fn checkpoint_lists_that_are_empty_decreasing_or_not_finite_are_rejected() {
     // Equal checkpoints are fine.
     assert!(lane.run_checkpoints(&src, &[10.0, 10.0]).is_ok());
     assert!(batch
-        .run_lanes_with_sources(&sources, &[10.0, 10.0])
+        .run_checkpoints(Excitation::PerLane(&sources), &[10.0, 10.0])
         .is_ok());
 }
 

@@ -208,12 +208,15 @@ impl BatchPpuSolver {
         // within the round budget. The scalar solve with the same seed
         // replays the identical iteration sequence, so its (equally
         // unconverged) final operating point is bit-identical to what
-        // the per-iteration stores used to produce.
+        // the per-iteration stores used to produce. The pre-phase
+        // validated these inputs, so the scalar solve accepts them; were
+        // it to refuse, the lane is flagged like any other failure.
         for &iu in iterating.iter() {
             let i = iu as usize;
-            out[i] = ppus[i]
-                .operating_point_from(seed[i], v_oc[i], z_src[i], freq_hz[i], v_store[i])
-                .expect("inputs validated in the pre-phase");
+            match ppus[i].operating_point_from(seed[i], v_oc[i], z_src[i], freq_hz[i], v_store[i]) {
+                Ok(op) => out[i] = op,
+                Err(_) => ok[i] = false,
+            }
         }
     }
 }

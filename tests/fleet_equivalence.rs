@@ -1,15 +1,14 @@
 //! Differential suite for the fleet simulator's node-phase dispatch.
 //!
 //! The contract under test: a [`FleetSimulator`] run — whatever the
-//! dispatch strategy (auto, forced-batched, per-sim) and whatever the
-//! scheduler thread count — is **bit-identical, node for node**, to a
-//! sequential oracle loop that prepares and runs each node's
-//! simulation by hand, straight from the spec, with no fleet machinery
-//! involved. This is the network-layer extension of the batch kernel's
-//! lane-for-lane bit-exactness contract, checked across 1/2/8 threads
-//! for both homogeneous (batched-dispatch) and mixed-tick
-//! (per-sim-fallback) fleets, and through to the derived
-//! [`ehsim::net::FleetMetrics`] record.
+//! dispatch strategy (auto, per-sim) and whatever the scheduler thread
+//! count — is **bit-identical, node for node**, to a sequential oracle
+//! loop that prepares and runs each node's simulation by hand, straight
+//! from the spec, with no fleet machinery involved. This is the
+//! network-layer extension of the batch kernel's lane-for-lane
+//! bit-exactness contract, checked across 1/2/8 threads for both
+//! single-tick fleets and mixed-tick fleets (batched per tick program),
+//! and through to the derived [`ehsim::net::FleetMetrics`] record.
 
 use ehsim::net::{
     node_seed, Dispatch, FleetEnvironment, FleetSimulator, FleetSpec, Placement, Point,
@@ -99,8 +98,8 @@ fn homogeneous_spec(n: usize) -> FleetSpec {
 }
 
 /// A mixed-tick fleet: same floor, but a third of the nodes run a
-/// finer tick — batched dispatch must refuse it and auto dispatch
-/// must fall back per-sim without changing a bit.
+/// finer tick — auto dispatch must batch each tick program separately
+/// without changing a bit.
 fn mixed_tick_spec(n: usize) -> FleetSpec {
     let mut spec = homogeneous_spec(n);
     for (i, node) in spec.nodes.iter_mut().enumerate() {
@@ -112,29 +111,12 @@ fn mixed_tick_spec(n: usize) -> FleetSpec {
 }
 
 #[test]
-fn homogeneous_fleet_auto_dispatches_to_batches() {
-    let fleet = FleetSimulator::new(homogeneous_spec(13)).expect("valid fleet");
-    assert!(fleet.is_homogeneous());
-}
-
-#[test]
-fn mixed_tick_fleet_is_heterogeneous() {
-    let fleet = FleetSimulator::new(mixed_tick_spec(13)).expect("valid fleet");
-    assert!(!fleet.is_homogeneous());
-    assert!(fleet.run_with_dispatch(2, Dispatch::Batched).is_err());
-}
-
-#[test]
 fn batched_dispatch_is_bit_identical_to_oracle_across_threads() {
     let spec = homogeneous_spec(13);
     let oracle = oracle_metrics(&spec);
     let fleet = FleetSimulator::new(spec).expect("valid fleet");
     for threads in [1, 2, 8] {
-        for (dispatch, label) in [
-            (Dispatch::Auto, "auto"),
-            (Dispatch::Batched, "batched"),
-            (Dispatch::PerSim, "per-sim"),
-        ] {
+        for (dispatch, label) in [(Dispatch::Auto, "auto"), (Dispatch::PerSim, "per-sim")] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -152,9 +134,14 @@ fn mixed_tick_fleet_is_bit_identical_to_oracle_across_threads() {
     let oracle = oracle_metrics(&spec);
     let fleet = FleetSimulator::new(spec).expect("valid fleet");
     for threads in [1, 2, 8] {
-        let out = fleet.run(threads).expect("fleet runs");
-        for (i, (a, b)) in oracle.iter().zip(&out.per_node).enumerate() {
-            assert_metrics_bitwise_eq(a, b, i, &format!("mixed-auto@{threads}t"));
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
+            let out = fleet
+                .run_with_dispatch(threads, dispatch)
+                .expect("fleet runs");
+            assert_eq!(out.per_node.len(), oracle.len());
+            for (i, (a, b)) in oracle.iter().zip(&out.per_node).enumerate() {
+                assert_metrics_bitwise_eq(a, b, i, &format!("mixed-{dispatch:?}@{threads}t"));
+            }
         }
     }
 }
@@ -166,7 +153,7 @@ fn fleet_metrics_are_invariant_to_threads_and_dispatch() {
         .run_with_dispatch(1, Dispatch::PerSim)
         .expect("fleet runs");
     for threads in [1, 2, 8] {
-        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -236,7 +223,7 @@ use ehsim::net::{NetError, RoutingPolicy, Topology};
 /// the cap instantly anyway), and a heavy fixed sensing duty, so the
 /// node browns out partway through the run and the exclusion-set /
 /// route-repair machinery has real work to do. The tick is unchanged,
-/// so the fleet stays batched-dispatch eligible.
+/// so the whole fleet is one tick program.
 fn starved_node_spec(n: usize) -> FleetSpec {
     let mut spec = homogeneous_spec(n);
     let cfg = &mut spec.nodes[3].config;
@@ -502,7 +489,7 @@ fn epoch_runs_are_bit_identical_across_threads_and_dispatch() {
     );
     assert_eq!(base.metrics.epochs.len(), 4);
     for threads in [1, 2, 8] {
-        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -568,7 +555,7 @@ fn epoch_runs_are_bit_identical_across_threads_and_dispatch() {
 
 /// Parallel per-node preparation is bit-identical to sequential
 /// preparation: same prepared fleet, same run output — for both the
-/// homogeneous and the mixed-tick (per-sim fallback) fleet shapes.
+/// single-tick and the mixed-tick fleet shapes.
 #[test]
 fn parallel_prep_is_bit_identical_to_sequential() {
     for (spec, what) in [
@@ -579,11 +566,6 @@ fn parallel_prep_is_bit_identical_to_sequential() {
         for threads in [2, 8] {
             let par = FleetSimulator::prepare(spec.clone(), threads).expect("parallel prep");
             assert_eq!(seq.node_count(), par.node_count(), "{what}: node count");
-            assert_eq!(
-                seq.is_homogeneous(),
-                par.is_homogeneous(),
-                "{what}: homogeneity"
-            );
             let a = seq.run(2).expect("sequential-prep fleet runs");
             let b = par.run(2).expect("parallel-prep fleet runs");
             for (i, (x, y)) in a.per_node.iter().zip(&b.per_node).enumerate() {
@@ -607,9 +589,9 @@ fn parallel_prep_is_bit_identical_to_sequential() {
 }
 
 /// The smallest-failing-node contract holds for *parallel* prep at
-/// every thread count: validation is total (no node's check is
-/// abandoned because another failed first), so the reported node is
-/// always 4 — never 7, never a scheduling accident.
+/// every thread count: every node's result lands in its own slot and
+/// the slots are scanned in node order, so the reported node is always
+/// 4 — never 7, never a scheduling accident.
 #[test]
 fn smallest_failing_node_is_thread_count_invariant() {
     let mut spec = homogeneous_spec(9);
@@ -888,7 +870,7 @@ fn run_time_node_error_is_earliest_epoch_then_smallest_node() {
     });
     let fleet = FleetSimulator::new(spec).expect("valid fleet");
     for threads in [1, 2, 8] {
-        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
             match fleet.run_with_dispatch(threads, dispatch) {
                 Err(NetError::Node { node, .. }) => {
                     assert_eq!(node, 5, "{dispatch:?}@{threads}t reported the wrong node")

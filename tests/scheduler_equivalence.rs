@@ -1,6 +1,6 @@
 //! Equivalence suite for the deterministic self-scheduling campaign
-//! scheduler: the work-stealing `run_jobs` queue must be bit-identical
-//! to the sequential path for both [`Campaign`] and
+//! scheduler: `ehsim-node`'s job queue and lane dispatcher must be
+//! bit-identical to the sequential path for both [`Campaign`] and
 //! [`EnsembleCampaign`] at any thread count, and must surface the same
 //! (first-in-job-order) error regardless of how jobs land on workers.
 
@@ -9,6 +9,7 @@ use ehsim::core::indicators::Indicator;
 use ehsim::core::scenario::{Scenario, ScenarioEnsemble};
 use ehsim::doe::design::factorial::full_factorial_2k;
 use ehsim::doe::Design;
+use ehsim::vibration::{Envelope, Sine, VibrationSource};
 use std::sync::Arc;
 
 fn campaign(duration_s: f64) -> Campaign {
@@ -177,5 +178,105 @@ fn lopsided_ensemble_parallel_pass_matches_per_scenario_campaigns() {
             &batched.per_scenario[s].responses,
             &format!("scenario {s} vs dedicated campaign"),
         );
+    }
+}
+
+/// A source whose envelope frequency goes non-finite from `t_poison`
+/// on, which fails every node's harvester model at that tick.
+#[derive(Debug)]
+struct PoisonAfter {
+    inner: Sine,
+    t_poison: f64,
+}
+
+impl VibrationSource for PoisonAfter {
+    fn acceleration(&self, t: f64) -> f64 {
+        self.inner.acceleration(t)
+    }
+
+    fn envelope(&self, t: f64) -> Envelope {
+        let mut env = self.inner.envelope(t);
+        if t >= self.t_poison {
+            env.freq_hz = f64::INFINITY;
+        }
+        env
+    }
+}
+
+/// Mixed error order across an ensemble: run-time failures and prepare
+/// failures compete in point-major, scenario-minor job order. Every
+/// point fails at run time against the poisoned scenario, and one
+/// point's config fails to prepare (which fails its first job).
+#[test]
+fn mixed_prepare_and_run_time_errors_follow_job_order() {
+    let poisoned = Scenario::new(
+        Arc::new(PoisonAfter {
+            inner: Sine::new(0.9, 64.0).expect("valid sine"),
+            t_poison: 30.0,
+        }),
+        120.0,
+        "poisoned",
+    )
+    .expect("valid scenario");
+    let ensemble = ScenarioEnsemble::uniform(vec![Scenario::stationary_machine(120.0), poisoned])
+        .expect("valid ensemble");
+    let factors = StandardFactors::default();
+    let space = factors.space().expect("space");
+    // The point with coded TX power +1 gets an invalid capacitance.
+    let configure: ehsim::core::experiment::Configure = Arc::new(move |phys: &[f64]| {
+        let mut cfg = factors.config_for(phys);
+        if (phys[3] - factors.tx_power.1).abs() < 1e-9 {
+            cfg.storage.capacitance = -3.0;
+        }
+        cfg
+    });
+    let ec = EnsembleCampaign::new(space, configure, ensemble, vec![Indicator::PacketsPerHour])
+        .expect("campaign");
+    let design_with_bad_point = |bad: usize| {
+        let coded: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                let tx = if i == bad { 1.0 } else { 0.0 };
+                vec![-0.5 + 0.2 * i as f64, 0.3, -0.2, tx]
+            })
+            .collect();
+        Design::new(4, coded, "mixed-error-order").expect("design")
+    };
+
+    // Bad point at index 3: job 1 (point 0 × poisoned) fails at run
+    // time before job 6 (point 3 × stationary) fails to prepare.
+    let design = design_with_bad_point(3);
+    let want = ec
+        .campaign_for(1)
+        .expect("poisoned campaign")
+        .evaluate_coded(&design.points()[0])
+        .expect_err("point 0 fails against the poisoned scenario")
+        .to_string();
+    assert!(want.contains("model failure"), "unexpected oracle: {want}");
+    for threads in [1, 2, 8] {
+        let got = ec
+            .run_design(&design, threads)
+            .expect_err("poisoned ensemble must fail")
+            .to_string();
+        assert_eq!(got, want, "bad point 3, {threads} threads");
+    }
+
+    // Bad point at index 0: its prepare failure is job 0.
+    let design = design_with_bad_point(0);
+    let want = ec
+        .campaign_for(0)
+        .expect("stationary campaign")
+        .evaluate_coded(&design.points()[0])
+        .expect_err("point 0 fails to prepare")
+        .to_string();
+    assert!(
+        want.contains("supercap") || want.contains("capacitance"),
+        "unexpected oracle: {want}"
+    );
+    for threads in [1, 2, 8] {
+        let got = ec
+            .run_design(&design, threads)
+            .expect_err("poisoned ensemble must fail")
+            .to_string();
+        assert_eq!(got, want, "bad point 0, {threads} threads");
     }
 }
