@@ -5,21 +5,18 @@
 //! always relative to a baseline recorded on the same machine:
 //!
 //! 1. **Ticks per second** of the system simulator on the stationary
-//!    64 Hz scenario, for three implementations: the pre-refactor
+//!    64 Hz scenario, for two implementations: the pre-refactor
 //!    reference path (`SystemSimulator::run_reference` — per-tick
-//!    validation, cold PPU solves, no memoization), the prepared exact
-//!    path (bit-identical results, validate-once + Thevenin
-//!    memoization), and the prepared warm-started path
-//!    (`SolverMode::Warm`).
+//!    validation, no memoization) and the prepared path
+//!    (`PreparedSimulator::run` — a width-1 batch of the tick kernel:
+//!    validate-once, Thevenin memoization, bit-identical results).
 //! 2. **Batched campaign throughput** (`batch_ticks_per_sec`): 64
 //!    campaign-style design points run through the SoA batch kernel at
-//!    widths 1/4/16/64, in both `SolverMode::Exact` and
-//!    `SolverMode::Warm`, versus three per-sim baselines on the *same*
-//!    workload: the pre-refactor reference path, the per-sim exact
-//!    campaign shape (one `SystemSimulator` per job — the
-//!    `evaluate_coded` oracle), and the per-sim warm shape. Every
-//!    batch pass must reproduce its same-mode per-sim bits — asserted
-//!    via a shared checksum.
+//!    widths 1/4/16/64, versus two per-sim baselines on the *same*
+//!    workload: the pre-refactor reference path and the per-sim
+//!    campaign shape (one `SystemSimulator` per job, as
+//!    `evaluate_coded` runs). Every pass must reproduce the reference
+//!    bits — asserted via a shared checksum.
 //! 3. **Campaign wall-clock** of a 16-point factorial over the
 //!    stationary scenario under the deterministic self-scheduling
 //!    queue, at fixed thread counts (1/2/4/8).
@@ -35,7 +32,7 @@ use ehsim_core::experiment::{Campaign, StandardFactors};
 use ehsim_core::indicators::Indicator;
 use ehsim_core::scenario::Scenario;
 use ehsim_doe::design::factorial::full_factorial_2k;
-use ehsim_node::{BatchSimulator, NodeConfig, PreparedSimulator, SolverMode, SystemSimulator};
+use ehsim_node::{BatchSimulator, NodeConfig, PreparedSimulator, SystemSimulator};
 use ehsim_vibration::Sine;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -90,23 +87,18 @@ fn run(
     let n_ticks = (sim_duration_s / cfg.tick_s).round() as u64;
 
     let reference_sim = SystemSimulator::new(cfg.clone()).expect("valid config");
-    let exact_sim =
-        PreparedSimulator::with_solver(cfg.clone(), SolverMode::Exact).expect("valid config");
-    let warm_sim =
-        PreparedSimulator::with_solver(cfg.clone(), SolverMode::Warm).expect("valid config");
+    let exact_sim = PreparedSimulator::new(cfg.clone()).expect("valid config");
 
     // Warm-up pass so first-touch effects hit no timed section.
     let m_ref = reference_sim
         .run_reference(&src, sim_duration_s)
         .expect("reference run");
     let m_exact = exact_sim.run(&src, sim_duration_s).expect("exact run");
-    let m_warm = warm_sim.run(&src, sim_duration_s).expect("warm run");
     assert_eq!(
         m_ref.harvested_energy_j.to_bits(),
         m_exact.harvested_energy_j.to_bits(),
-        "prepared exact must be bit-identical to the reference"
+        "prepared run must be bit-identical to the reference"
     );
-    assert_eq!(m_ref.packets_delivered, m_warm.packets_delivered);
 
     // The baseline re-constructs the simulator per repetition, the way
     // campaigns instantiate one simulator per job.
@@ -123,18 +115,11 @@ fn run(
             .expect("exact run")
             .harvested_energy_j
     });
-    let (t_warm, _c_warm) = time_reps(reps, || {
-        warm_sim
-            .run(&src, sim_duration_s)
-            .expect("warm run")
-            .harvested_energy_j
-    });
     assert_eq!(c_ref.to_bits(), c_exact.to_bits());
 
     let total_ticks = (reps as u64 * n_ticks) as f64;
     let tps_ref = total_ticks / t_ref;
     let tps_exact = total_ticks / t_exact;
-    let tps_warm = total_ticks / t_warm;
 
     println!("ticks/sec — stationary-64Hz, {n_ticks} ticks x {reps} reps");
     println!(
@@ -144,21 +129,19 @@ fn run(
     println!("{}", "-".repeat(56));
     for (name, tps) in [
         ("reference (pre-refactor)", tps_ref),
-        ("prepared / exact", tps_exact),
-        ("prepared / warm-started", tps_warm),
+        ("prepared (width-1 batch)", tps_exact),
     ] {
         println!("{:<28} {:>14.0} {:>9.2}x", name, tps, tps / tps_ref);
     }
 
     // --- 2. batched SoA kernel vs the per-sim campaign shape --------
     // 64 design points spread across the standard design box — one
-    // tick program, as a campaign hands the dispatcher. Three
-    // per-sim baselines on the same workload: the pre-refactor
-    // reference path (the 1.00x anchor), the pre-dispatch exact
-    // campaign shape (construct one simulator per job), and the warm
-    // shape. The batch series re-chunks the same configs at each width
-    // in both solver modes; each pass must reproduce its same-mode
-    // per-sim bits — asserted via the checksum.
+    // tick length, as a campaign hands the dispatcher. Two per-sim
+    // baselines on the same workload: the pre-refactor reference path
+    // (the 1.00x anchor) and the pre-dispatch campaign shape (construct
+    // one simulator per job). The batch series re-chunks the same
+    // configs at each width; each pass must reproduce the reference
+    // bits — asserted via the checksum.
     let factors = StandardFactors::default();
     let span = (BATCH_CONFIGS - 1) as f64;
     let batch_cfgs: Vec<NodeConfig> = (0..BATCH_CONFIGS)
@@ -177,30 +160,26 @@ fn run(
     let batch_total_ticks = (BATCH_CONFIGS as u64 * batch_ticks_per_cfg) as f64;
     let reps_batch = (reps / 4).max(2);
 
-    // Warm-up + bit-identity oracle, both modes: the maximal batch,
-    // lane for lane against its same-mode per-sim run.
-    for mode in [SolverMode::Exact, SolverMode::Warm] {
-        let batch_prepared: Vec<PreparedSimulator> = batch_cfgs
-            .iter()
-            .map(|c| PreparedSimulator::with_solver(c.clone(), mode).expect("valid"))
-            .collect();
-        let lane_metrics = BatchSimulator::new(batch_prepared.clone())
-            .expect("homogeneous batch")
-            .run(&src, sim_duration_s)
-            .expect("batch run");
-        for (i, (p, m)) in batch_prepared.iter().zip(&lane_metrics).enumerate() {
-            let solo = p.run(&src, sim_duration_s).expect("per-sim run");
-            assert_eq!(
-                solo.harvested_energy_j.to_bits(),
-                m.harvested_energy_j.to_bits(),
-                "{mode:?} lane {i} must be bit-identical to its per-sim run"
-            );
-            assert_eq!(solo.packets_delivered, m.packets_delivered);
-            assert_eq!(solo.final_v_store.to_bits(), m.final_v_store.to_bits());
-        }
+    // Warm-up + bit-identity oracle: the maximal batch, lane for lane
+    // against the reference run.
+    let lane_metrics = BatchSimulator::from_configs(batch_cfgs.clone())
+        .expect("homogeneous batch")
+        .run(&src, sim_duration_s)
+        .expect("batch run");
+    for (i, (cfg, m)) in batch_cfgs.iter().zip(&lane_metrics).enumerate() {
+        let solo = SystemSimulator::new(cfg.clone())
+            .and_then(|sim| sim.run_reference(&src, sim_duration_s))
+            .expect("reference run");
+        assert_eq!(
+            solo.harvested_energy_j.to_bits(),
+            m.harvested_energy_j.to_bits(),
+            "lane {i} must be bit-identical to its reference run"
+        );
+        assert_eq!(solo.packets_delivered, m.packets_delivered);
+        assert_eq!(solo.final_v_store.to_bits(), m.final_v_store.to_bits());
     }
 
-    let (t_pref, _c_pref) = time_reps(reps_batch, || {
+    let (t_pref, c_pref) = time_reps(reps_batch, || {
         let mut acc = 0.0;
         for cfg in &batch_cfgs {
             acc += SystemSimulator::new(cfg.clone())
@@ -224,75 +203,58 @@ fn run(
         acc
     });
     let tps_psim = reps_batch as f64 * batch_total_ticks / t_psim;
-    let (t_pwarm, c_pwarm) = time_reps(reps_batch, || {
-        let mut acc = 0.0;
-        for cfg in &batch_cfgs {
-            acc += PreparedSimulator::with_solver(cfg.clone(), SolverMode::Warm)
-                .expect("valid config")
-                .run(&src, sim_duration_s)
-                .expect("per-sim run")
-                .harvested_energy_j;
-        }
-        acc
-    });
-    let tps_pwarm = reps_batch as f64 * batch_total_ticks / t_pwarm;
+    assert_eq!(
+        c_psim.to_bits(),
+        c_pref.to_bits(),
+        "per-sim runs must reproduce the reference bits"
+    );
 
     println!(
         "\nbatched kernel — {BATCH_CONFIGS} campaign configs, \
-         {batch_ticks_per_cfg} ticks each x {reps_batch} reps, \
-         bits equal per solver mode"
+         {batch_ticks_per_cfg} ticks each x {reps_batch} reps, bits equal"
     );
     println!(
         "{:<28} {:>14} {:>9} {:>9}",
-        "implementation", "ticks/sec", "vs ref", "vs mode"
+        "implementation", "ticks/sec", "vs ref", "vs sim"
     );
     println!("{}", "-".repeat(64));
-    for (name, tps, base) in [
-        ("per-sim reference", tps_pref, tps_pref),
-        ("per-sim exact", tps_psim, tps_psim),
-        ("per-sim warm-started", tps_pwarm, tps_pwarm),
-    ] {
+    for (name, tps) in [("per-sim reference", tps_pref), ("per-sim", tps_psim)] {
         println!(
             "{:<28} {:>14.0} {:>8.2}x {:>8.2}x",
             name,
             tps,
             tps / tps_pref,
-            tps / base
+            tps / tps_psim
         );
     }
-    // (width, mode, ticks/sec, speedup vs same-mode per-sim, vs reference)
-    let mut batch_series: Vec<(usize, &str, f64, f64, f64)> = Vec::new();
-    for (mode, mode_name, tps_mode, c_mode) in [
-        (SolverMode::Exact, "exact", tps_psim, c_psim),
-        (SolverMode::Warm, "warm", tps_pwarm, c_pwarm),
-    ] {
-        for width in BATCH_WIDTHS {
-            let (t, c) = time_reps(reps_batch, || {
-                let mut acc = 0.0;
-                for chunk in batch_cfgs.chunks(width) {
-                    let batch = BatchSimulator::from_configs(chunk.to_vec(), mode)
-                        .expect("homogeneous batch");
-                    for m in batch.run(&src, sim_duration_s).expect("batch run") {
-                        acc += m.harvested_energy_j;
-                    }
+    // (width, ticks/sec, speedup vs per-sim, vs reference)
+    let mut batch_series: Vec<(usize, f64, f64, f64)> = Vec::new();
+    for width in BATCH_WIDTHS {
+        let (t, c) = time_reps(reps_batch, || {
+            let mut acc = 0.0;
+            for chunk in batch_cfgs.chunks(width) {
+                let batch =
+                    BatchSimulator::from_configs(chunk.to_vec()).expect("homogeneous batch");
+                for m in batch.run(&src, sim_duration_s).expect("batch run") {
+                    acc += m.harvested_energy_j;
                 }
-                acc
-            });
-            assert_eq!(
-                c.to_bits(),
-                c_mode.to_bits(),
-                "width-{width} {mode_name} batch must reproduce the per-sim bits"
-            );
-            let tps = reps_batch as f64 * batch_total_ticks / t;
-            println!(
-                "{:<28} {:>14.0} {:>8.2}x {:>8.2}x",
-                format!("batch / {mode_name} width {width}"),
-                tps,
-                tps / tps_pref,
-                tps / tps_mode
-            );
-            batch_series.push((width, mode_name, tps, tps / tps_mode, tps / tps_pref));
-        }
+            }
+            acc
+        });
+        assert_eq!(
+            c.to_bits(),
+            c_pref.to_bits(),
+            "width-{width} batch must reproduce the reference bits"
+        );
+        let tps = reps_batch as f64 * batch_total_ticks / t;
+        println!(
+            "{:<28} {:>14.0} {:>8.2}x {:>8.2}x",
+            format!("batch width {width}"),
+            tps,
+            tps / tps_pref,
+            tps / tps_psim
+        );
+        batch_series.push((width, tps, tps / tps_psim, tps / tps_pref));
     }
 
     // --- 3. campaign wall-clock scaling -----------------------------
@@ -327,7 +289,7 @@ fn run(
     // --- 4. machine-readable artefact -------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema_version\": 4,\n");
+    json.push_str("  \"schema_version\": 5,\n");
     json.push_str("  \"generated_by\": \"e10_hotpath\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str("  \"ticks_microbench\": {\n");
@@ -343,16 +305,8 @@ fn run(
         json_num(tps_exact)
     ));
     json.push_str(&format!(
-        "    \"prepared_warm_ticks_per_sec\": {},\n",
-        json_num(tps_warm)
-    ));
-    json.push_str(&format!(
-        "    \"speedup_exact_vs_baseline\": {},\n",
+        "    \"speedup_exact_vs_baseline\": {}\n",
         json_num(tps_exact / tps_ref)
-    ));
-    json.push_str(&format!(
-        "    \"speedup_warm_vs_baseline\": {}\n",
-        json_num(tps_warm / tps_ref)
     ));
     json.push_str("  },\n");
     json.push_str("  \"batch_microbench\": {\n");
@@ -370,19 +324,14 @@ fn run(
         "    \"per_sim_exact_ticks_per_sec\": {},\n",
         json_num(tps_psim)
     ));
-    json.push_str(&format!(
-        "    \"per_sim_warm_ticks_per_sec\": {},\n",
-        json_num(tps_pwarm)
-    ));
     json.push_str("    \"batch_ticks_per_sec\": [\n");
-    for (i, (width, mode, tps, vs_mode, vs_ref)) in batch_series.iter().enumerate() {
+    for (i, (width, tps, vs_sim, vs_ref)) in batch_series.iter().enumerate() {
         let sep = if i + 1 == batch_series.len() { "" } else { "," };
         json.push_str(&format!(
-            "      {{\"width\": {width}, \"mode\": \"{mode}\", \
-             \"ticks_per_sec\": {}, \"speedup_vs_per_sim\": {}, \
-             \"speedup_vs_reference\": {}}}{sep}\n",
+            "      {{\"width\": {width}, \"ticks_per_sec\": {}, \
+             \"speedup_vs_per_sim\": {}, \"speedup_vs_reference\": {}}}{sep}\n",
             json_num(*tps),
-            json_num(*vs_mode),
+            json_num(*vs_sim),
             json_num(*vs_ref)
         ));
     }
@@ -402,20 +351,13 @@ fn run(
     let path = out_dir.join("BENCH_hotpath.json");
     std::fs::write(&path, &json).expect("json writes");
     println!("\nwrote {}", path.display());
-    let (hl_width, _, _, hl_vs_mode, hl_vs_ref) = *batch_series
+    let (hl_width, _, hl_vs_sim, hl_vs_ref) = *batch_series
         .iter()
-        .filter(|(_, mode, ..)| *mode == "warm")
-        .max_by(|a, b| a.4.total_cmp(&b.4))
-        .expect("non-empty series");
-    let (xl_width, _, _, _, xl_vs_ref) = *batch_series
-        .iter()
-        .filter(|(_, mode, ..)| *mode == "exact")
-        .max_by(|a, b| a.4.total_cmp(&b.4))
+        .max_by(|a, b| a.3.total_cmp(&b.3))
         .expect("non-empty series");
     println!(
-        "headline: width-{hl_width} warm batch kernel at {hl_vs_ref:.2}x the per-sim \
-         reference baseline ({hl_vs_mode:.2}x the per-sim warm shape); \
-         width-{xl_width} exact batch at {xl_vs_ref:.2}x reference, equal bits"
+        "headline: width-{hl_width} batch kernel at {hl_vs_ref:.2}x the per-sim \
+         reference baseline ({hl_vs_sim:.2}x the per-sim shape), equal bits"
     );
 }
 
@@ -529,14 +471,11 @@ mod smoke {
             "\"ticks_microbench\"",
             "\"baseline_ticks_per_sec\"",
             "\"prepared_exact_ticks_per_sec\"",
-            "\"prepared_warm_ticks_per_sec\"",
-            "\"speedup_warm_vs_baseline\"",
+            "\"speedup_exact_vs_baseline\"",
             "\"batch_microbench\"",
             "\"per_sim_reference_ticks_per_sec\"",
             "\"per_sim_exact_ticks_per_sec\"",
-            "\"per_sim_warm_ticks_per_sec\"",
             "\"batch_ticks_per_sec\"",
-            "\"mode\": \"warm\"",
             "\"speedup_vs_per_sim\"",
             "\"speedup_vs_reference\"",
             "\"campaign_scaling\"",

@@ -236,6 +236,7 @@ fn run(n_nodes: usize, duration_s: f64, threads: usize, out_dir: PathBuf) {
     // match or beat it. ----
     let mut ring_codes = vec![[shared_x[0], shared_x[1]]; E13_N_RINGS];
     let mut incumbent = shared_sim.clone();
+    let mut any_accepted = false;
     for ring in 0..E13_N_RINGS {
         let campaign = FleetCampaign::new(
             space.clone(),
@@ -269,6 +270,7 @@ fn run(n_nodes: usize, duration_s: f64, threads: usize, out_dir: PathBuf) {
         if accepted {
             ring_codes[ring] = [ring_x[0], ring_x[1]];
             incumbent = candidate;
+            any_accepted = true;
         }
         rows.push(Row {
             label: format!("per-cluster/ring-{ring}"),
@@ -297,11 +299,17 @@ fn run(n_nodes: usize, duration_s: f64, threads: usize, out_dir: PathBuf) {
             row.rsm,
         );
     }
+    let why = if any_accepted && gain > 0.0 {
+        "the sink-adjacent relay ring and the leaf shells want different \
+         storage/duty points, and one shared tuning has to split the difference"
+    } else {
+        "no ring's candidate beat the shared optimum, so the fleet keeps the \
+         shared tuning"
+    };
     println!(
         "\nper-cluster tuning delivers {:+.1}% throughput over the shared optimum \
          under the same {MARGIN_FLOOR_V} V fleet-wide margin floor (both fresh-sim \
-         verified): the sink-adjacent relay ring and the leaf shells want different \
-         storage/duty points, and one shared tuning has to split the difference.",
+         verified): {why}.",
         100.0 * gain,
     );
 
@@ -384,7 +392,9 @@ struct TopoBuildPoint {
     grid_builds_per_sec: f64,
     all_pairs_builds_per_sec: Option<f64>,
     speedup: Option<f64>,
-    bit_identical: bool,
+    /// Whether the build was replayed against the all-pairs oracle;
+    /// `None` where no replay ran.
+    bit_identical: Option<bool>,
 }
 
 struct FleetTickPoint {
@@ -451,7 +461,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             grid_builds_per_sec: 1.0 / t_grid,
             all_pairs_builds_per_sec: Some(1.0 / t_oracle),
             speedup: Some(speedup),
-            bit_identical: true,
+            bit_identical: Some(true),
         });
     }
     // 100k: grid-only (the all-pairs oracle would take ~100x the 10k
@@ -486,7 +496,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             grid_builds_per_sec: 1.0 / t_grid,
             all_pairs_builds_per_sec: None,
             speedup: None,
-            bit_identical: false,
+            bit_identical: None,
         });
     }
 
@@ -534,7 +544,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             json_num(p.grid_builds_per_sec),
             p.all_pairs_builds_per_sec.map_or("null".into(), json_num),
             p.speedup.map_or("null".into(), json_num),
-            p.bit_identical,
+            p.bit_identical.map_or("null".into(), |b| b.to_string()),
         ));
     }
     json.push_str("  ],\n");

@@ -14,7 +14,7 @@
 //! | `e7_speedup` | Figure E7 — engine speed-up vs horizon |
 //! | `e8_design_ablation` | Table E8 — design choice vs accuracy/cost |
 //! | `e9_robust_scenarios` | Table E9 — single-scenario vs robust optima across an ensemble |
-//! | `e10_hotpath` | `BENCH_hotpath.json` — simulator ticks/sec (reference vs prepared vs warm-started) and campaign wall-clock vs thread count |
+//! | `e10_hotpath` | `BENCH_hotpath.json` — simulator ticks/sec (reference vs prepared vs batch widths) and campaign wall-clock vs thread count |
 //! | `e11_policies` | Table E11 — DoE-optimised static tuning vs adaptive energy-management policies |
 //! | `e12_sequential` | Table E12 + `BENCH_sequential.json` — one-shot CCD vs budget-matched sequential RSM refinement |
 //! | `e13_fleet` | Table E13 — shared vs per-cluster harvester tuning for a 1k-node fleet's delivered-packet throughput |
@@ -169,7 +169,7 @@ pub fn e13_placement(n: usize) -> (Vec<Point>, Point, f64) {
 
 /// The e13 node baseline: the default node pre-tuned to the factory
 /// floor's 64 Hz backbone on a 0.5 s tick — every candidate tuning
-/// shares the tick, so an e13 fleet is one tick program and runs in
+/// shares the tick, so an e13 fleet is one tick length and runs in
 /// contiguous batch chunks.
 pub fn e13_base_config() -> NodeConfig {
     let mut cfg = NodeConfig::default_node();

@@ -418,9 +418,9 @@ impl Campaign {
 
     /// Runs every design point, using up to `threads` worker threads.
     ///
-    /// The points run as lanes of the SoA batch kernel, grouped by tick
-    /// program ([`dispatch::run_lanes`]); the kernel is bit-identical to
-    /// the per-sim path lane for lane. The responses, their order and
+    /// The points run as lanes of the SoA batch kernel, grouped by
+    /// `tick_s` ([`dispatch::run_lanes`]); a lane's bits do not depend
+    /// on the width of its batch. The responses, their order and
     /// the error are those of [`Campaign::evaluate_coded`] per point,
     /// for any thread count.
     ///
@@ -484,8 +484,8 @@ impl Campaign {
 /// ([`dispatch::run_lanes`]): one lane per point, one run per scenario.
 /// Returns the indicator rows in point-major, scenario-minor job order.
 ///
-/// The batch kernel is bit-identical to the per-sim path lane for lane,
-/// so the rows and errors are those of one [`SystemSimulator`] per job,
+/// A lane's bits do not depend on the width of its batch, so the rows
+/// and errors are those of one [`SystemSimulator`] per job,
 /// for any thread count. The error is the smallest failing job's. Points
 /// are prepared in order up to the first failure, whose error is that
 /// point's first job's, so only the points before it are simulated and
@@ -726,9 +726,8 @@ impl EnsembleCampaign {
     /// keeps 8 threads busy with 20 jobs — and scenarios of very
     /// different cost (a 20-minute stationary hum next to an hour-long
     /// drift) cannot strand a worker on one static chunk while the
-    /// others idle. The kernel is bit-identical to the per-sim path
-    /// lane for lane, so results are bit-identical for any thread
-    /// count.
+    /// others idle. A lane's bits do not depend on the width of its
+    /// batch, so results are bit-identical for any thread count.
     ///
     /// # Errors
     ///

@@ -331,7 +331,7 @@ impl Harvester {
         // Finiteness matters as much as sign here: a hostile source can
         // emit an infinite frequency or amplitude, and `>` alone would
         // wave it through into the Thevenin equivalent (and from there
-        // into the simulator's memo key and warm-start seed).
+        // into the simulator's memo key).
         if !(freq_hz > 0.0 && freq_hz.is_finite()) || !(accel_amp >= 0.0 && accel_amp.is_finite()) {
             return Err(HarvesterError::invalid(format!(
                 "need finite freq > 0 and finite accel >= 0 (got {freq_hz}, {accel_amp})"

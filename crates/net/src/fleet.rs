@@ -10,16 +10,17 @@
 //!    against its own vibration stream (seeds split from the fleet
 //!    seed via [`crate::node_seed`]). The nodes run as lanes of the
 //!    batch kernel through `ehsim-node`'s lane dispatcher
-//!    ([`dispatch::run_lanes`]), which groups them by tick program and
+//!    ([`dispatch::run_lanes`]), which groups them by `tick_s` and
 //!    cuts each group into contiguous [`ehsim_node::BatchSimulator`]
 //!    chunks of at most [`dispatch::MAX_BATCH_WIDTH`] lanes, so
 //!    mixed-tick fleets run batched too. [`Dispatch::PerSim`] runs one
-//!    [`PreparedSimulator`] per node instead, on the same deterministic
-//!    queue. The batch kernel is bit-identical lane-for-lane to the
-//!    per-sim path, so **the node metrics do not depend on the dispatch
-//!    strategy or the thread count**. Per-node failures are captured
-//!    individually ([`FleetSimulator::run_nodes`]); the aggregate entry
-//!    points surface a typed [`NetError::Node`].
+//!    [`PreparedSimulator`] per node instead — a width-1 batch of the
+//!    same kernel — on the same deterministic queue. A lane's bits do
+//!    not depend on the width of its batch, so **the node metrics do
+//!    not depend on the dispatch strategy or the thread count**.
+//!    Per-node failures are captured individually
+//!    ([`FleetSimulator::run_nodes`]); the aggregate entry points
+//!    surface a typed [`NetError::Node`].
 //!
 //! 2. **Network phase** — a sequential, node-index-ordered energy
 //!    accounting pass per epoch. Packets originate at each node
@@ -67,9 +68,7 @@
 use crate::topology::{Routes, Topology};
 use crate::{NetError, Point, RadioEnergyModel, Result};
 use ehsim_node::dispatch::{self, run_jobs, LaneRun};
-use ehsim_node::{
-    Excitation, NodeConfig, NodeError, NodeMetrics, PreparedSimulator, SolverMode, MAX_TICKS,
-};
+use ehsim_node::{Excitation, NodeConfig, NodeError, NodeMetrics, PreparedSimulator, MAX_TICKS};
 use ehsim_vibration::{FilteredNoise, VibrationSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -235,8 +234,6 @@ pub struct FleetSpec {
     pub fleet_seed: u64,
     /// Per-node vibration-environment factory.
     pub environment: FleetEnvironment,
-    /// PPU solver mode for every node simulation.
-    pub solver: SolverMode,
     /// Simulated duration (s).
     pub duration_s: f64,
     /// Number of route epochs the run is sliced into, from 1 up to the
@@ -275,7 +272,6 @@ impl FleetSpec {
             routing: RoutingPolicy::EnergyAware,
             fleet_seed: 0x5EED_F1EE,
             environment: FleetEnvironment::factory_floor(),
-            solver: SolverMode::Exact,
             duration_s,
             route_epochs: 1,
             on_partition: PartitionPolicy::Tolerate,
@@ -286,11 +282,12 @@ impl FleetSpec {
 /// Node-phase dispatch strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Batch-kernel chunks grouped by tick program
+    /// Batch-kernel chunks grouped by `tick_s`
     /// ([`dispatch::run_lanes`]; the default).
     Auto,
-    /// One [`PreparedSimulator::run_checkpoints`] job per node (the
-    /// differential-testing oracle path).
+    /// One [`PreparedSimulator::run_checkpoints`] job per node: a
+    /// width-1 batch of the same kernel, which the differential suite
+    /// compares [`Dispatch::Auto`]'s chunking against.
     PerSim,
 }
 
@@ -439,9 +436,8 @@ impl FleetSimulator {
             ));
         }
         let prepare_node = |i: usize| -> Result<(PreparedSimulator, Arc<dyn VibrationSource>)> {
-            let prepared =
-                PreparedSimulator::with_solver(spec.nodes[i].config.clone(), spec.solver)
-                    .map_err(|source| NetError::Node { node: i, source })?;
+            let prepared = PreparedSimulator::new(spec.nodes[i].config.clone())
+                .map_err(|source| NetError::Node { node: i, source })?;
             let source = spec
                 .environment
                 .source_for(crate::node_seed(spec.fleet_seed, i))

@@ -1,14 +1,13 @@
-//! Batched structure-of-arrays tick kernel.
+//! Batched structure-of-arrays tick kernel: the production tick loop.
 //!
-//! A [`BatchSimulator`] steps `W` independent node simulations — the
-//! *lanes* — through the tick loop together, one tick per pass. The
-//! per-sim hot state (storage voltage, schedule cursors, harvest EMA,
-//! policy state, Thevenin memo, warm-start seed, metric accumulators)
-//! is laid out as parallel arrays, so a campaign's worth of homogeneous
-//! simulations walks cache-friendly columns instead of `W` scattered
-//! object graphs, bounds checks amortize over the batch, and the inner
-//! per-lane loops are plain indexable arithmetic the compiler can
-//! vectorise where profitable.
+//! The kernel steps `W` independent node simulations — the *lanes* —
+//! through the tick loop together, one tick per pass. The per-sim hot
+//! state (storage voltage, schedule cursors, harvest EMA, policy state,
+//! Thevenin memo, metric accumulators) is laid out as parallel arrays,
+//! so a campaign's worth of simulations walks cache-friendly columns
+//! instead of `W` scattered object graphs, bounds checks amortize over
+//! the batch, and the inner per-lane loops are plain indexable
+//! arithmetic the compiler can vectorise where profitable.
 //!
 //! The structural win, though, is the PPU solve: the scalar fixed point
 //! is a long serial float dependency chain (latency-bound), and the
@@ -18,18 +17,27 @@
 //! `e10_hotpath`'s `batch_ticks_per_sec` series for the measured
 //! campaign-shape throughput.
 //!
+//! This is the only production tick loop. [`BatchSimulator`] runs it
+//! over its owned lanes, and [`PreparedSimulator::run`],
+//! [`PreparedSimulator::run_checkpoints`] and
+//! [`PreparedSimulator::run_with_trace`] run it as a width-1 batch over
+//! a borrowed one-lane slice. The only other tick loop in the workspace
+//! is the frozen oracle [`crate::SystemSimulator::run_reference`].
+//!
 //! # Bit-exactness contract
 //!
-//! Lanes never exchange data, and each lane executes exactly the
-//! float-operation sequence of [`PreparedSimulator::run`] in the same
-//! order — phase splitting only interleaves *different* lanes between
-//! phases. A batched run is therefore **bit-identical, lane for lane,
-//! to running each [`PreparedSimulator`] alone**, for every solver
-//! mode, duty-cycle policy and energy policy; the per-sim path remains
-//! the oracle and `tests/batch_equivalence.rs` asserts the contract
-//! across widths, policies and workloads. This is what lets the lane
-//! dispatcher ([`crate::dispatch`]) run every campaign and fleet lane on
-//! the batch kernel without perturbing a single CSV byte.
+//! Lanes never exchange data, and each lane executes exactly the same
+//! float-operation sequence whatever the batch width — phase splitting
+//! only interleaves *different* lanes between phases. A batched run is
+//! therefore **bit-identical, lane for lane, to running each
+//! [`PreparedSimulator`] alone** (a width-1 batch), for every
+//! duty-cycle policy and energy policy, and under the `Static` energy
+//! policy bit-identical to [`crate::SystemSimulator::run_reference`].
+//! `tests/batch_equivalence.rs` asserts the contract across widths,
+//! policies and workloads, against the oracle wherever it applies. This
+//! is what lets the lane dispatcher ([`crate::dispatch`]) run every
+//! campaign and fleet lane on the batch kernel without perturbing a
+//! single CSV byte.
 //!
 //! # Checkpoints
 //!
@@ -45,12 +53,20 @@
 //! single-duration entry points are one-checkpoint calls of the same
 //! loop.
 //!
+//! # Trace
+//!
+//! The kernel optionally records lane 0 every `stride` ticks, after the
+//! tick's storage and threshold update: time, storage voltage,
+//! resonance at the current actuator position, ambient frequency,
+//! harvested power and the powered state. Only
+//! [`PreparedSimulator::run_with_trace`] asks for it.
+//!
 //! # Error contract
 //!
 //! A lane that fails mid-run (sub-model error or task-schedule
 //! saturation) is retired from the batch at the failing tick with the
-//! exact error the per-sim path would have returned; surviving lanes
-//! are unaffected. A lane that fails at tick `j` is `Ok` at every
+//! exact error the scalar sub-models report; surviving lanes are
+//! unaffected. A lane that fails at tick `j` is `Ok` at every
 //! checkpoint of at most `j` ticks and a clone of its error at every
 //! later one. [`BatchSimulator::run`] fails with the error of the
 //! **smallest failing lane index**, matching the job queue's
@@ -60,7 +76,7 @@
 
 use crate::policy::DutyCyclePolicy;
 use crate::sim::{
-    checkpoint_ticks, task_saturation_error, NodeMetrics, PreparedSimulator, SolverMode, Tally,
+    checkpoint_ticks, task_saturation_error, NodeMetrics, PreparedSimulator, SystemTrace,
 };
 use crate::tuning::TuningController;
 use crate::{NodeConfig, NodeError, Result};
@@ -132,16 +148,14 @@ pub enum Excitation<'a> {
 /// the SoA tick kernel (see the module docs for the layout and the
 /// bit-exactness / error contracts).
 ///
-/// All lanes must share one *tick program* — the same `tick_s` (bit
-/// compared) and the same [`SolverMode`] — while every other
+/// All lanes must share one `tick_s` (bit compared), while every other
 /// configuration constant may vary per lane.
-/// [`crate::dispatch::run_lanes`] groups a mixed lane set by tick
-/// program into such batches.
+/// [`crate::dispatch::run_lanes`] groups a mixed lane set by `tick_s`
+/// into such batches.
 #[derive(Debug, Clone)]
 pub struct BatchSimulator {
     lanes: Vec<PreparedSimulator>,
     dt: f64,
-    mode: SolverMode,
 }
 
 impl BatchSimulator {
@@ -150,43 +164,35 @@ impl BatchSimulator {
     /// # Errors
     ///
     /// [`NodeError::InvalidParameter`] if `lanes` is empty, or if any
-    /// lane's `tick_s` (compared bitwise) or [`SolverMode`] differs
-    /// from lane 0's.
+    /// lane's `tick_s` (compared bitwise) differs from lane 0's.
     pub fn new(lanes: Vec<PreparedSimulator>) -> Result<Self> {
         let first = lanes
             .first()
             .ok_or_else(|| NodeError::invalid("batch needs at least one lane"))?;
         let dt = first.cfg.tick_s;
-        let mode = first.mode;
         for (i, lane) in lanes.iter().enumerate() {
             if lane.cfg.tick_s.to_bits() != dt.to_bits() {
                 return Err(NodeError::invalid(format!(
                     "lane {i} tick_s = {} differs from lane 0 tick_s = {dt}; \
-                     batched lanes must share one tick program",
+                     batched lanes must share one tick length",
                     lane.cfg.tick_s
                 )));
             }
-            if lane.mode != mode {
-                return Err(NodeError::invalid(format!(
-                    "lane {i} solver mode {:?} differs from lane 0 mode {mode:?}",
-                    lane.mode
-                )));
-            }
         }
-        Ok(BatchSimulator { lanes, dt, mode })
+        Ok(BatchSimulator { lanes, dt })
     }
 
-    /// Convenience constructor: prepares each configuration with the
-    /// given solver mode and batches the results.
+    /// Convenience constructor: prepares each configuration and batches
+    /// the results.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`PreparedSimulator::with_solver`] failure,
-    /// then [`BatchSimulator::new`] failures.
-    pub fn from_configs(cfgs: Vec<NodeConfig>, mode: SolverMode) -> Result<Self> {
+    /// Propagates the first [`PreparedSimulator::new`] failure, then
+    /// [`BatchSimulator::new`] failures.
+    pub fn from_configs(cfgs: Vec<NodeConfig>) -> Result<Self> {
         let lanes = cfgs
             .into_iter()
-            .map(|cfg| PreparedSimulator::with_solver(cfg, mode))
+            .map(PreparedSimulator::new)
             .collect::<Result<Vec<_>>>()?;
         Self::new(lanes)
     }
@@ -199,11 +205,6 @@ impl BatchSimulator {
     /// Borrow of the lanes, in lane-index order.
     pub fn lanes(&self) -> &[PreparedSimulator] {
         &self.lanes
-    }
-
-    /// The solver mode shared by every lane.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Runs every lane against one shared source for `duration_s`
@@ -251,338 +252,353 @@ impl BatchSimulator {
             }
         }
         let ticks = checkpoint_ticks(checkpoints, self.dt)?;
-        Ok(self.run_inner(excitation, &ticks))
+        Ok(run_kernel(&self.lanes, excitation, &ticks, None))
     }
+}
 
-    /// The tick loop, run in segments: after `ticks[c]` ticks (a
-    /// validated, nondecreasing list) it snapshots every lane.
-    fn run_inner(
-        &self,
-        excitation: Excitation<'_>,
-        ticks: &[usize],
-    ) -> Vec<Vec<Result<NodeMetrics>>> {
-        let w = self.lanes.len();
-        let dt = self.dt;
-        let warm = self.mode == SolverMode::Warm;
+/// The tick loop, run in segments: after `ticks[c]` ticks (a validated,
+/// nondecreasing list) it snapshots every lane, and the result is
+/// indexed `[checkpoint][lane]`. Every lane must share lane 0's
+/// `tick_s`, and an [`Excitation::PerLane`] slice must hold one source
+/// per lane. With a trace, lane 0 is sampled every `stride` ticks (see
+/// the module docs).
+pub(crate) fn run_kernel(
+    lanes: &[PreparedSimulator],
+    excitation: Excitation<'_>,
+    ticks: &[usize],
+    mut trace: Option<(usize, &mut SystemTrace)>,
+) -> Vec<Vec<Result<NodeMetrics>>> {
+    let w = lanes.len();
+    let dt = lanes.first().map_or(0.0, |lane| lane.cfg.tick_s);
 
-        let consts: Vec<LaneConst> = self.lanes.iter().map(LaneConst::from_prepared).collect();
-        let ppus: Vec<PreparedPpu> = consts.iter().map(|c| c.ppu).collect();
+    let consts: Vec<LaneConst> = lanes.iter().map(LaneConst::from_prepared).collect();
+    let ppus: Vec<PreparedPpu> = consts.iter().map(|c| c.ppu).collect();
 
-        // ---- per-lane hot state, SoA ----
-        let mut v: Vec<f64> = consts.iter().map(|c| c.v_store0).collect();
-        let mut pos: Vec<f64> = consts.iter().map(|c| c.initial_position).collect();
-        let mut running: Vec<bool> = consts
-            .iter()
-            .zip(&v)
-            .map(|(c, &v0)| c.thresholds.update(v0, false))
-            .collect();
-        let mut next_task_t = vec![0.0f64; w];
-        let mut next_check_t = vec![0.0f64; w];
-        let mut act_active = vec![false; w];
-        let mut act_start = vec![0.0f64; w];
-        let mut act_target = vec![0.0f64; w];
-        let mut act_t0 = vec![0.0f64; w];
-        let mut act_t1 = vec![0.0f64; w];
-        let mut ema = vec![0.0f64; w];
-        let mut ema_primed = vec![false; w];
-        let mut pstate: Vec<PolicyState> = consts
-            .iter()
-            .map(|c| c.energy_policy.initial_state())
-            .collect();
+    // ---- per-lane hot state, SoA ----
+    let mut v: Vec<f64> = consts.iter().map(|c| c.v_store0).collect();
+    let mut pos: Vec<f64> = consts.iter().map(|c| c.initial_position).collect();
+    let mut running: Vec<bool> = consts
+        .iter()
+        .zip(&v)
+        .map(|(c, &v0)| c.thresholds.update(v0, false))
+        .collect();
+    let mut next_task_t = vec![0.0f64; w];
+    let mut next_check_t = vec![0.0f64; w];
+    let mut act_active = vec![false; w];
+    let mut act_start = vec![0.0f64; w];
+    let mut act_target = vec![0.0f64; w];
+    let mut act_t0 = vec![0.0f64; w];
+    let mut act_t1 = vec![0.0f64; w];
+    let mut ema = vec![0.0f64; w];
+    let mut ema_primed = vec![false; w];
+    let mut pstate: Vec<PolicyState> = consts
+        .iter()
+        .map(|c| c.energy_policy.initial_state())
+        .collect();
 
-        // Thevenin memo and warm-start seed (NaN = no previous tick).
-        let mut thev_key = vec![(0u64, 0u64, 0u64); w];
-        let mut thev_voc = vec![0.0f64; w];
-        let mut thev_z = vec![Complex::real(0.0); w];
-        let mut thev_primed = vec![false; w];
-        let mut prev_v_pk = vec![f64::NAN; w];
+    // Thevenin memo.
+    let mut thev_key = vec![(0u64, 0u64, 0u64); w];
+    let mut thev_voc = vec![0.0f64; w];
+    let mut thev_z = vec![Complex::real(0.0); w];
+    let mut thev_primed = vec![false; w];
 
-        // Metric accumulators.
-        let mut packets = vec![0u64; w];
-        let mut first_packet: Vec<Option<f64>> = vec![None; w];
-        let mut uptime_ticks = vec![0usize; w];
-        let mut brownouts = vec![0u32; w];
-        let mut retunes = vec![0u32; w];
-        let mut measurements = vec![0u32; w];
-        let mut tuning_energy = vec![0.0f64; w];
-        let mut harvested = vec![0.0f64; w];
-        let mut consumed = vec![0.0f64; w];
-        let mut min_v_after_on = vec![f64::INFINITY; w];
-        let mut min_v = vec![f64::INFINITY; w];
-        let mut ever_on: Vec<bool> = running.clone();
+    // Metric accumulators.
+    let mut packets = vec![0u64; w];
+    let mut first_packet: Vec<Option<f64>> = vec![None; w];
+    let mut uptime_ticks = vec![0usize; w];
+    let mut brownouts = vec![0u32; w];
+    let mut retunes = vec![0u32; w];
+    let mut measurements = vec![0u32; w];
+    let mut tuning_energy = vec![0.0f64; w];
+    let mut harvested = vec![0.0f64; w];
+    let mut consumed = vec![0.0f64; w];
+    let mut min_v_after_on = vec![f64::INFINITY; w];
+    let mut min_v = vec![f64::INFINITY; w];
+    let mut ever_on: Vec<bool> = running.clone();
 
-        // Lane liveness and captured errors.
-        let mut alive = vec![true; w];
-        let mut err: Vec<Option<NodeError>> = (0..w).map(|_| None).collect();
-        let mut n_alive = w;
+    // Lane liveness and captured errors.
+    let mut alive = vec![true; w];
+    let mut err: Vec<Option<NodeError>> = (0..w).map(|_| None).collect();
+    let mut n_alive = w;
 
-        // Per-tick scratch: envelope and PPU solve lane arrays.
-        let mut env_f = vec![0.0f64; w];
-        let mut env_a = vec![0.0f64; w];
-        let mut in_voc = vec![0.0f64; w];
-        let mut in_z = vec![Complex::real(0.0); w];
-        let mut in_vst = vec![0.0f64; w];
-        let mut in_seed = vec![f64::NAN; w];
-        let mut solve_active = vec![false; w];
-        let mut ops = vec![
-            PpuOperatingPoint {
-                p_store_w: 0.0,
-                i_out_a: 0.0,
-                v_in_amp: 0.0,
-                p_in_w: 0.0,
-                efficiency: 0.0,
-            };
-            w
-        ];
-        let mut ok = vec![false; w];
-        let mut solver = BatchPpuSolver::new();
+    // Per-tick scratch: envelope and PPU solve lane arrays.
+    let mut env_f = vec![0.0f64; w];
+    let mut env_a = vec![0.0f64; w];
+    let mut in_voc = vec![0.0f64; w];
+    let mut in_z = vec![Complex::real(0.0); w];
+    let mut in_vst = vec![0.0f64; w];
+    let mut solve_active = vec![false; w];
+    let mut ops = vec![
+        PpuOperatingPoint {
+            p_store_w: 0.0,
+            i_out_a: 0.0,
+            v_in_amp: 0.0,
+            p_in_w: 0.0,
+            efficiency: 0.0,
+        };
+        w
+    ];
+    let mut ok = vec![false; w];
+    let mut solver = BatchPpuSolver::new();
 
-        let mut snapshots = Vec::with_capacity(ticks.len());
-        let mut k_done = 0;
-        for &k_end in ticks {
-            for k in k_done..k_end {
-                if n_alive == 0 {
-                    break;
+    let mut snapshots = Vec::with_capacity(ticks.len());
+    let mut k_done = 0;
+    for &k_end in ticks {
+        for k in k_done..k_end {
+            if n_alive == 0 {
+                break;
+            }
+            let t = k as f64 * dt;
+            match excitation {
+                Excitation::Shared(source) => {
+                    let env = source.envelope(t);
+                    for i in 0..w {
+                        env_f[i] = env.freq_hz;
+                        env_a[i] = env.amp;
+                    }
                 }
-                let t = k as f64 * dt;
-                match excitation {
-                    Excitation::Shared(source) => {
-                        let env = source.envelope(t);
-                        for i in 0..w {
+                Excitation::PerLane(sources) => {
+                    for i in 0..w {
+                        if alive[i] {
+                            let env = sources[i].envelope(t);
                             env_f[i] = env.freq_hz;
                             env_a[i] = env.amp;
                         }
                     }
-                    Excitation::PerLane(sources) => {
-                        for i in 0..w {
-                            if alive[i] {
-                                let env = sources[i].envelope(t);
-                                env_f[i] = env.freq_hz;
-                                env_a[i] = env.amp;
-                            }
-                        }
-                    }
-                }
-
-                // Phase 1 — actuator motion, Thevenin memo, solve inputs.
-                for i in 0..w {
-                    solve_active[i] = false;
-                    if !alive[i] {
-                        continue;
-                    }
-                    let c = &consts[i];
-                    if act_active[i] {
-                        if t >= act_t1[i] {
-                            pos[i] = act_target[i];
-                            act_active[i] = false;
-                        } else {
-                            let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
-                            pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
-                        }
-                    }
-                    let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
-                    if !thev_primed[i] || key != thev_key[i] {
-                        match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
-                            Ok((voc, z)) => {
-                                thev_voc[i] = voc;
-                                thev_z[i] = z;
-                                thev_key[i] = key;
-                                thev_primed[i] = true;
-                            }
-                            Err(e) => {
-                                alive[i] = false;
-                                n_alive -= 1;
-                                err[i] = Some(NodeError::Model(e.to_string()));
-                                continue;
-                            }
-                        }
-                    }
-                    in_voc[i] = thev_voc[i];
-                    in_z[i] = thev_z[i];
-                    in_vst[i] = v[i];
-                    in_seed[i] = if warm { prev_v_pk[i] } else { f64::NAN };
-                    solve_active[i] = true;
-                }
-
-                // Phase 2 — all lanes' PPU fixed points, in lock-step.
-                solver.solve(
-                    &ppus,
-                    &in_voc,
-                    &in_z,
-                    &env_f,
-                    &in_vst,
-                    &in_seed,
-                    &solve_active,
-                    &mut ops,
-                    &mut ok,
-                );
-
-                // Phase 3 — policy, consumption, storage, thresholds.
-                for i in 0..w {
-                    if !solve_active[i] {
-                        continue;
-                    }
-                    let c = &consts[i];
-                    if !ok[i] {
-                        // Recover the scalar path's exact error message on
-                        // the (cold) failure path.
-                        let message = match c
-                            .ppu
-                            .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
-                        {
-                            Err(e) => e.to_string(),
-                            Ok(_) => "batched PPU solve rejected inputs the scalar solve accepts"
-                                .to_string(),
-                        };
-                        alive[i] = false;
-                        n_alive -= 1;
-                        err[i] = Some(NodeError::Model(message));
-                        continue;
-                    }
-                    let op = ops[i];
-                    prev_v_pk[i] = op.v_in_amp;
-                    let p_in = op.p_store_w;
-                    if !ema_primed[i] {
-                        ema[i] = p_in;
-                        ema_primed[i] = true;
-                    } else {
-                        ema[i] = c.duty.update_ema(ema[i], p_in);
-                    }
-
-                    let policy_action = c.energy_policy.act(
-                        &mut pstate[i],
-                        &PolicyObs {
-                            t_s: t,
-                            dt_s: dt,
-                            v_store: v[i],
-                            v_on: c.thresholds.v_on,
-                            v_off: c.thresholds.v_off,
-                            p_harvest_w: p_in,
-                            nominal_period_s: c.task_period_s,
-                            p_idle_w: c.p_sleep_in,
-                            e_cycle_j: c.e_cycle_in,
-                            running: running[i],
-                        },
-                    );
-
-                    let mut e_tick = 0.0f64;
-                    if running[i] {
-                        e_tick += c.p_sleep_in * dt;
-
-                        let mut fires: u64 = 0;
-                        let mut saturated = false;
-                        while next_task_t[i] <= t {
-                            if fires >= c.max_fires_per_tick {
-                                saturated = true;
-                                break;
-                            }
-                            if !policy_action.skip_fire {
-                                e_tick += c.e_cycle_in;
-                                packets[i] += 1;
-                                if first_packet[i].is_none() {
-                                    first_packet[i] = Some(t);
-                                }
-                            }
-                            let period = c.duty.period_s(
-                                c.task_period_s,
-                                v[i],
-                                c.thresholds.v_on,
-                                c.thresholds.v_off,
-                                ema[i],
-                                c.p_sleep_in,
-                                c.e_cycle_in,
-                            ) * policy_action.period_scale;
-                            next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
-                            fires += 1;
-                        }
-                        if saturated {
-                            alive[i] = false;
-                            n_alive -= 1;
-                            err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
-                            continue;
-                        }
-
-                        if c.tuning.enabled && t >= next_check_t[i] {
-                            e_tick += c.e_measure_in;
-                            measurements[i] += 1;
-                            next_check_t[i] = t + c.tuning.check_interval_s;
-                            if !act_active[i] {
-                                let resonance = c.harv.resonant_frequency(pos[i]);
-                                if let Some(target) = c.tuning.decide(
-                                    env_f[i],
-                                    resonance,
-                                    |f| c.harv.position_for_frequency(f),
-                                    pos[i],
-                                ) {
-                                    let move_time = c.tuning_params.tuning_time_s(pos[i], target);
-                                    act_start[i] = pos[i];
-                                    act_target[i] = target;
-                                    act_t0[i] = t;
-                                    act_t1[i] = t + move_time;
-                                    act_active[i] = true;
-                                    retunes[i] += 1;
-                                }
-                            }
-                        }
-
-                        if act_active[i] {
-                            e_tick += c.e_act_tick;
-                            tuning_energy[i] += c.e_act_tick;
-                        }
-                    }
-
-                    let p_out = e_tick / dt;
-                    let (v_next, e_in) = c
-                        .storage
-                        .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
-                    v[i] = v_next;
-                    harvested[i] += e_in;
-                    consumed[i] += e_tick;
-
-                    let was_running = running[i];
-                    running[i] = c.thresholds.update(v[i], running[i]);
-                    if was_running && !running[i] {
-                        brownouts[i] += 1;
-                        act_active[i] = false;
-                    }
-                    if !was_running && running[i] {
-                        next_task_t[i] = t + dt;
-                        next_check_t[i] = t + dt;
-                        ever_on[i] = true;
-                    }
-                    if running[i] {
-                        uptime_ticks[i] += 1;
-                        ever_on[i] = true;
-                    }
-                    if ever_on[i] {
-                        min_v_after_on[i] = min_v_after_on[i].min(v[i]);
-                    }
-                    min_v[i] = min_v[i].min(v[i]);
                 }
             }
-            k_done = k_end;
-            let snapshot: Vec<_> = (0..w)
-                .map(|i| match &err[i] {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(Tally {
-                        packets: packets[i],
-                        first_packet: first_packet[i],
-                        uptime_ticks: uptime_ticks[i],
-                        brownouts: brownouts[i],
-                        retunes: retunes[i],
-                        measurements: measurements[i],
-                        tuning_energy: tuning_energy[i],
-                        harvested: harvested[i],
-                        consumed: consumed[i],
-                        min_v_after_on: min_v_after_on[i],
-                        min_v: min_v[i],
-                        v: v[i],
+
+            // Phase 1 — actuator motion, Thevenin memo, solve inputs.
+            for i in 0..w {
+                solve_active[i] = false;
+                if !alive[i] {
+                    continue;
+                }
+                let c = &consts[i];
+                if act_active[i] {
+                    if t >= act_t1[i] {
+                        pos[i] = act_target[i];
+                        act_active[i] = false;
+                    } else {
+                        let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
+                        pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
                     }
-                    .snapshot(k_end, dt)),
-                })
-                .collect();
-            snapshots.push(snapshot);
+                }
+                let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
+                if !thev_primed[i] || key != thev_key[i] {
+                    match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
+                        Ok((voc, z)) => {
+                            thev_voc[i] = voc;
+                            thev_z[i] = z;
+                            thev_key[i] = key;
+                            thev_primed[i] = true;
+                        }
+                        Err(e) => {
+                            alive[i] = false;
+                            n_alive -= 1;
+                            err[i] = Some(NodeError::Model(e.to_string()));
+                            continue;
+                        }
+                    }
+                }
+                in_voc[i] = thev_voc[i];
+                in_z[i] = thev_z[i];
+                in_vst[i] = v[i];
+                solve_active[i] = true;
+            }
+
+            // Phase 2 — all lanes' PPU fixed points, in lock-step.
+            solver.solve(
+                &ppus,
+                &in_voc,
+                &in_z,
+                &env_f,
+                &in_vst,
+                &solve_active,
+                &mut ops,
+                &mut ok,
+            );
+
+            // Phase 3 — policy, consumption, storage, thresholds.
+            for i in 0..w {
+                if !solve_active[i] {
+                    continue;
+                }
+                let c = &consts[i];
+                if !ok[i] {
+                    // Recover the scalar solve's exact error message.
+                    let message = match c
+                        .ppu
+                        .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
+                    {
+                        Err(e) => e.to_string(),
+                        Ok(_) => {
+                            "batched PPU solve rejected inputs the scalar solve accepts".to_string()
+                        }
+                    };
+                    alive[i] = false;
+                    n_alive -= 1;
+                    err[i] = Some(NodeError::Model(message));
+                    continue;
+                }
+                let op = ops[i];
+                let p_in = op.p_store_w;
+                if !ema_primed[i] {
+                    ema[i] = p_in;
+                    ema_primed[i] = true;
+                } else {
+                    ema[i] = c.duty.update_ema(ema[i], p_in);
+                }
+
+                let policy_action = c.energy_policy.act(
+                    &mut pstate[i],
+                    &PolicyObs {
+                        t_s: t,
+                        dt_s: dt,
+                        v_store: v[i],
+                        v_on: c.thresholds.v_on,
+                        v_off: c.thresholds.v_off,
+                        p_harvest_w: p_in,
+                        nominal_period_s: c.task_period_s,
+                        p_idle_w: c.p_sleep_in,
+                        e_cycle_j: c.e_cycle_in,
+                        running: running[i],
+                    },
+                );
+
+                let mut e_tick = 0.0f64;
+                if running[i] {
+                    e_tick += c.p_sleep_in * dt;
+
+                    let mut fires: u64 = 0;
+                    let mut saturated = false;
+                    while next_task_t[i] <= t {
+                        if fires >= c.max_fires_per_tick {
+                            saturated = true;
+                            break;
+                        }
+                        if !policy_action.skip_fire {
+                            e_tick += c.e_cycle_in;
+                            packets[i] += 1;
+                            if first_packet[i].is_none() {
+                                first_packet[i] = Some(t);
+                            }
+                        }
+                        let period = c.duty.period_s(
+                            c.task_period_s,
+                            v[i],
+                            c.thresholds.v_on,
+                            c.thresholds.v_off,
+                            ema[i],
+                            c.p_sleep_in,
+                            c.e_cycle_in,
+                        ) * policy_action.period_scale;
+                        next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
+                        fires += 1;
+                    }
+                    if saturated {
+                        alive[i] = false;
+                        n_alive -= 1;
+                        err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
+                        continue;
+                    }
+
+                    if c.tuning.enabled && t >= next_check_t[i] {
+                        e_tick += c.e_measure_in;
+                        measurements[i] += 1;
+                        next_check_t[i] = t + c.tuning.check_interval_s;
+                        if !act_active[i] {
+                            let resonance = c.harv.resonant_frequency(pos[i]);
+                            if let Some(target) = c.tuning.decide(
+                                env_f[i],
+                                resonance,
+                                |f| c.harv.position_for_frequency(f),
+                                pos[i],
+                            ) {
+                                let move_time = c.tuning_params.tuning_time_s(pos[i], target);
+                                act_start[i] = pos[i];
+                                act_target[i] = target;
+                                act_t0[i] = t;
+                                act_t1[i] = t + move_time;
+                                act_active[i] = true;
+                                retunes[i] += 1;
+                            }
+                        }
+                    }
+
+                    if act_active[i] {
+                        e_tick += c.e_act_tick;
+                        tuning_energy[i] += c.e_act_tick;
+                    }
+                }
+
+                let p_out = e_tick / dt;
+                let (v_next, e_in) = c
+                    .storage
+                    .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
+                v[i] = v_next;
+                harvested[i] += e_in;
+                consumed[i] += e_tick;
+
+                let was_running = running[i];
+                running[i] = c.thresholds.update(v[i], running[i]);
+                if was_running && !running[i] {
+                    brownouts[i] += 1;
+                    act_active[i] = false;
+                }
+                if !was_running && running[i] {
+                    next_task_t[i] = t + dt;
+                    next_check_t[i] = t + dt;
+                    ever_on[i] = true;
+                }
+                if running[i] {
+                    uptime_ticks[i] += 1;
+                    ever_on[i] = true;
+                }
+                if ever_on[i] {
+                    min_v_after_on[i] = min_v_after_on[i].min(v[i]);
+                }
+                min_v[i] = min_v[i].min(v[i]);
+            }
+
+            if let (Some((stride, tr)), Some(c)) = (&mut trace, consts.first()) {
+                if alive[0] && k % *stride == 0 {
+                    tr.t.push(t);
+                    tr.v_store.push(v[0]);
+                    tr.resonance_hz.push(c.harv.resonant_frequency(pos[0]));
+                    tr.ambient_hz.push(env_f[0]);
+                    tr.p_harvest_w.push(ops[0].p_store_w);
+                    tr.running.push(running[0]);
+                }
+            }
         }
-        snapshots
+        k_done = k_end;
+        let duration = k_end as f64 * dt;
+        let snapshot: Vec<_> = (0..w)
+            .map(|i| match &err[i] {
+                Some(e) => Err(e.clone()),
+                None => Ok(NodeMetrics {
+                    duration_s: duration,
+                    packets_delivered: packets[i],
+                    uptime_fraction: uptime_ticks[i] as f64 / k_end as f64,
+                    brownout_count: brownouts[i],
+                    retune_count: retunes[i],
+                    measurement_count: measurements[i],
+                    tuning_energy_j: tuning_energy[i],
+                    harvested_energy_j: harvested[i],
+                    consumed_energy_j: consumed[i],
+                    min_v_store: if min_v_after_on[i].is_finite() {
+                        min_v_after_on[i]
+                    } else {
+                        min_v[i]
+                    },
+                    final_v_store: v[i],
+                    avg_harvest_power_w: harvested[i] / duration,
+                    time_to_first_packet_s: first_packet[i],
+                }),
+            })
+            .collect();
+        snapshots.push(snapshot);
     }
+    snapshots
 }

@@ -17,16 +17,15 @@
 //! # Dispatcher
 //!
 //! [`run_lanes`] runs prepared lanes through the batch kernel. It
-//! groups the lanes by tick program (the `tick_s` bits and the
-//! [`SolverMode`]), cuts each group into contiguous
-//! [`BatchSimulator`] chunks of `ceil(group / threads)` lanes, clamped
-//! to `[1, MAX_BATCH_WIDTH]`, and runs every (chunk, run) pair as one
-//! queue job. The kernel is bit-identical to the per-sim path lane for
-//! lane, so the results do not depend on the grouping, the chunking or
-//! the thread count.
+//! groups the lanes by tick length (the `tick_s` bits), cuts each group
+//! into contiguous [`BatchSimulator`] chunks of `ceil(group / threads)`
+//! lanes, clamped to `[1, MAX_BATCH_WIDTH]`, and runs every (chunk, run)
+//! pair as one queue job. A lane's bits do not depend on the width of
+//! the batch it runs in, so the results do not depend on the grouping,
+//! the chunking or the thread count.
 
 use crate::batch::{BatchSimulator, Excitation};
-use crate::sim::{NodeMetrics, PreparedSimulator, SolverMode};
+use crate::sim::{NodeMetrics, PreparedSimulator};
 use crate::{NodeError, Result};
 use ehsim_vibration::VibrationSource;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -189,19 +188,19 @@ pub fn run_lanes(
     Ok(out)
 }
 
-/// The dispatch plan: lane indices grouped by tick program (groups in
+/// The dispatch plan: lane indices grouped by `tick_s` bits (groups in
 /// order of first appearance), each group cut into contiguous chunks of
 /// `ceil(group / threads)` lanes clamped to `[1, MAX_BATCH_WIDTH]`.
 /// Lane indices ascend within every group and chunk.
 fn plan(lanes: &[PreparedSimulator], threads: usize) -> Vec<Vec<Vec<usize>>> {
-    let mut programs: Vec<(u64, SolverMode)> = Vec::new();
+    let mut ticks: Vec<u64> = Vec::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, lane) in lanes.iter().enumerate() {
-        let program = (lane.cfg.tick_s.to_bits(), lane.mode);
-        match programs.iter().position(|&p| p == program) {
+        let tick = lane.cfg.tick_s.to_bits();
+        match ticks.iter().position(|&t| t == tick) {
             Some(g) => groups[g].push(i),
             None => {
-                programs.push(program);
+                ticks.push(tick);
                 groups.push(vec![i]);
             }
         }
@@ -312,46 +311,43 @@ mod tests {
         }
     }
 
-    /// `n` lanes over two ticks and both solver modes, with varied
-    /// storage so lanes differ.
+    /// `n` lanes over three tick lengths, with varied storage so lanes
+    /// differ.
     fn mixed_lanes(n: usize) -> Vec<PreparedSimulator> {
         (0..n)
             .map(|i| {
                 let mut cfg = NodeConfig::default_node();
-                cfg.tick_s = if i % 3 == 0 { 0.25 } else { 0.5 };
-                cfg.storage.capacitance = 0.05 + 0.01 * i as f64;
-                let mode = if i % 4 == 1 {
-                    SolverMode::Warm
-                } else {
-                    SolverMode::Exact
+                cfg.tick_s = match i % 5 {
+                    0 | 3 => 0.25,
+                    1 => 0.2,
+                    _ => 0.5,
                 };
-                PreparedSimulator::with_solver(cfg, mode).unwrap()
+                cfg.storage.capacitance = 0.05 + 0.01 * i as f64;
+                PreparedSimulator::new(cfg).unwrap()
             })
             .collect()
     }
 
-    fn program(lane: &PreparedSimulator) -> (u64, SolverMode) {
-        (lane.cfg.tick_s.to_bits(), lane.mode)
+    fn tick(lane: &PreparedSimulator) -> u64 {
+        lane.cfg.tick_s.to_bits()
     }
 
     #[test]
     fn plan_groups_by_tick_program_into_ascending_chunks() {
         let lanes = mixed_lanes(300);
-        let mut programs: Vec<(u64, SolverMode)> = Vec::new();
+        let mut ticks: Vec<u64> = Vec::new();
         for lane in &lanes {
-            if !programs.contains(&program(lane)) {
-                programs.push(program(lane));
+            if !ticks.contains(&tick(lane)) {
+                ticks.push(tick(lane));
             }
         }
-        assert_eq!(programs.len(), 4);
+        assert_eq!(ticks.len(), 3);
         for threads in [1, 2, 8] {
             let plan = plan(&lanes, threads);
-            assert_eq!(plan.len(), programs.len(), "one chunk list per program");
-            for (group, &p) in plan.iter().zip(&programs) {
+            assert_eq!(plan.len(), ticks.len(), "one chunk list per tick length");
+            for (group, &t) in plan.iter().zip(&ticks) {
                 let members: Vec<usize> = group.concat();
-                let want: Vec<usize> = (0..lanes.len())
-                    .filter(|&i| program(&lanes[i]) == p)
-                    .collect();
+                let want: Vec<usize> = (0..lanes.len()).filter(|&i| tick(&lanes[i]) == t).collect();
                 assert_eq!(members, want, "{threads} threads: ascending group");
                 let width = want.len().div_ceil(threads).clamp(1, MAX_BATCH_WIDTH);
                 for (k, chunk) in group.iter().enumerate() {
@@ -362,7 +358,7 @@ mod tests {
                 }
             }
         }
-        // A single-program set keeps contiguous lane ranges.
+        // A single-tick set keeps contiguous lane ranges.
         let lanes: Vec<PreparedSimulator> = (0..150)
             .map(|_| PreparedSimulator::new(NodeConfig::default_node()).unwrap())
             .collect();

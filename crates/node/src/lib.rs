@@ -44,8 +44,7 @@ pub use batch::{BatchSimulator, Excitation};
 pub use mcu::{McuModel, RadioModel, TaskModel};
 pub use policy::DutyCyclePolicy;
 pub use sim::{
-    NodeMetrics, PreparedSimulator, SolverMode, SystemSimulator, SystemTrace, MAX_TICKS,
-    MIN_TASK_PERIOD_S,
+    NodeMetrics, PreparedSimulator, SystemSimulator, SystemTrace, MAX_TICKS, MIN_TASK_PERIOD_S,
 };
 pub use tuning::TuningController;
 

@@ -22,8 +22,8 @@
 //!
 //! # Hot path
 //!
-//! Every indicator of every DoE campaign is produced by this loop, so
-//! it is the throughput bottleneck of the whole workspace. The
+//! Every indicator of every DoE campaign is produced by one tick loop,
+//! so it is the throughput bottleneck of the whole workspace. The
 //! simulator is therefore split into a *preparation* stage and a *run*
 //! stage:
 //!
@@ -37,28 +37,25 @@
 //!   `(position, frequency, amplitude)` inputs — under a stationary
 //!   envelope it is computed once per actuator move instead of once per
 //!   tick, with bit-identical results by construction.
-//! * [`SolverMode::Warm`] additionally seeds the PPU fixed-point solve
-//!   from the previous tick's converged operating point
-//!   ([`ehsim_power::PreparedPpu::operating_point_from`]), which
-//!   usually collapses the solve to one or two iterations. Warm results
-//!   agree with the cold solve to the solver's convergence tolerance;
-//!   the default [`SolverMode::Exact`] keeps the cold solve and is
-//!   bit-identical to [`SystemSimulator::run_reference`] — campaigns
-//!   (and so every `e1`–`e9` CSV artefact) use it. Relative to the
-//!   *pre-refactor* simulator, the only intentional metric changes are
-//!   the three documented bugfixes (dt-derived task-firing bound,
-//!   never-on `min_v_store`, clamp-consistent `harvested_energy_j`),
-//!   none of which the shipped campaign workloads exercise.
+//!
+//! The production tick loop is the batched kernel of [`crate::batch`]:
+//! [`PreparedSimulator::run`], [`PreparedSimulator::run_checkpoints`]
+//! and [`PreparedSimulator::run_with_trace`] run the simulator as a
+//! width-1 batch over a borrowed one-lane slice. Relative to the
+//! *pre-refactor* simulator, the only intentional metric changes are
+//! the three documented bugfixes (dt-derived task-firing bound,
+//! never-on `min_v_store`, clamp-consistent `harvested_energy_j`),
+//! none of which the shipped campaign workloads exercise.
 //!
 //! [`SystemSimulator::run_reference`] preserves the straight-line
-//! per-tick implementation (re-validating sub-models every tick, cold
-//! solves, no memoization) as a differential-testing oracle and as the
-//! pre-refactor baseline for the `e10_hotpath` benchmark.
+//! per-tick implementation (re-validating sub-models every tick, no
+//! memoization) as the frozen differential-testing oracle and as the
+//! pre-refactor baseline for the `e10_hotpath` benchmark. It is the only
+//! other tick loop in the workspace.
 
+use crate::batch::{self, Excitation};
 use crate::{NodeConfig, NodeError, Result};
 use ehsim_harvester::PreparedHarvester;
-use ehsim_numeric::complex::Complex;
-use ehsim_policy::{EnergyPolicy, PolicyObs};
 use ehsim_power::PreparedPpu;
 use ehsim_vibration::VibrationSource;
 
@@ -180,77 +177,6 @@ pub struct SystemTrace {
     pub running: Vec<bool>,
 }
 
-/// A lane's metric accumulators — everything a [`NodeMetrics`]
-/// snapshot reads. Shared by the per-sim and batched tick loops so both
-/// finalise a snapshot with the same float operations.
-pub(crate) struct Tally {
-    pub(crate) packets: u64,
-    pub(crate) first_packet: Option<f64>,
-    pub(crate) uptime_ticks: usize,
-    pub(crate) brownouts: u32,
-    pub(crate) retunes: u32,
-    pub(crate) measurements: u32,
-    pub(crate) tuning_energy: f64,
-    pub(crate) harvested: f64,
-    pub(crate) consumed: f64,
-    pub(crate) min_v_after_on: f64,
-    pub(crate) min_v: f64,
-    /// Storage voltage after the last simulated tick (V).
-    pub(crate) v: f64,
-}
-
-impl Tally {
-    /// The metrics of a run that ended after `n_ticks` ticks of `dt`.
-    pub(crate) fn snapshot(&self, n_ticks: usize, dt: f64) -> NodeMetrics {
-        let duration = n_ticks as f64 * dt;
-        NodeMetrics {
-            duration_s: duration,
-            packets_delivered: self.packets,
-            uptime_fraction: self.uptime_ticks as f64 / n_ticks as f64,
-            brownout_count: self.brownouts,
-            retune_count: self.retunes,
-            measurement_count: self.measurements,
-            tuning_energy_j: self.tuning_energy,
-            harvested_energy_j: self.harvested,
-            consumed_energy_j: self.consumed,
-            min_v_store: if self.min_v_after_on.is_finite() {
-                self.min_v_after_on
-            } else {
-                self.min_v
-            },
-            final_v_store: self.v,
-            avg_harvest_power_w: self.harvested / duration,
-            time_to_first_packet_s: self.first_packet,
-        }
-    }
-}
-
-/// Which PPU fixed-point strategy a [`PreparedSimulator`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Cold-start every solve — bit-identical to
-    /// [`SystemSimulator::run_reference`] (and, away from the three
-    /// documented metric bugfixes of the hot-path overhaul, to the
-    /// pre-refactor simulator). This is the default and what every
-    /// campaign (hence every CSV artefact) uses; it upholds the
-    /// workspace determinism contract.
-    #[default]
-    Exact,
-    /// Seed each solve from the previous tick's converged operating
-    /// point and exit as soon as the convergence criterion holds.
-    /// Fastest; wherever the PPU fixed point converges (everywhere the
-    /// shipped device models operate) it agrees with
-    /// [`SolverMode::Exact`] to the solver's convergence tolerance
-    /// (~1 ppb on the loaded input amplitude) — discrete metrics
-    /// (packets, brown-outs, retunes) are unaffected in practice,
-    /// continuous metrics agree to ~1e-6 relative. In the solver's rare
-    /// non-contracting corner (very high source impedance exactly at
-    /// the dead-zone crossing) both modes sit on the same bounded limit
-    /// cycle and may differ by its width. Use for throughput-critical
-    /// sweeps where that tolerance is acceptable.
-    Warm,
-}
-
 struct ActuatorMove {
     start_pos: f64,
     target_pos: f64,
@@ -269,7 +195,6 @@ pub struct PreparedSimulator {
     pub(crate) cfg: NodeConfig,
     pub(crate) harv: PreparedHarvester,
     pub(crate) ppu: PreparedPpu,
-    pub(crate) mode: SolverMode,
     /// Task cycle energy referred to the storage side of the regulator
     /// (J): `cycle_energy_j / regulator.efficiency`.
     pub(crate) e_cycle_in: f64,
@@ -286,21 +211,12 @@ pub struct PreparedSimulator {
 
 impl PreparedSimulator {
     /// Validates the configuration and precomputes the tick-invariant
-    /// constants, with the default [`SolverMode::Exact`].
+    /// constants.
     ///
     /// # Errors
     ///
     /// Propagates [`NodeConfig::validate`] failures.
     pub fn new(cfg: NodeConfig) -> Result<Self> {
-        Self::with_solver(cfg, SolverMode::default())
-    }
-
-    /// [`PreparedSimulator::new`] with an explicit solver mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NodeConfig::validate`] failures.
-    pub fn with_solver(cfg: NodeConfig, mode: SolverMode) -> Result<Self> {
         cfg.validate()?;
         let harv = cfg
             .harvester
@@ -321,7 +237,6 @@ impl PreparedSimulator {
             cfg,
             harv,
             ppu,
-            mode,
             e_cycle_in,
             p_sleep_in,
             e_measure_in,
@@ -333,11 +248,6 @@ impl PreparedSimulator {
     /// Borrow of the configuration.
     pub fn config(&self) -> &NodeConfig {
         &self.cfg
-    }
-
-    /// The solver mode this simulator runs with.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Runs for `duration_s` seconds and returns the metrics.
@@ -358,7 +268,9 @@ impl PreparedSimulator {
     /// schedule saturates its per-tick firing bound.
     pub fn run(&self, source: &dyn VibrationSource, duration_s: f64) -> Result<NodeMetrics> {
         let ticks = [tick_count(duration_s, self.cfg.tick_s)?];
-        self.run_internal(source, &ticks, &mut Vec::new(), None)
+        self.run_lane(source, &ticks, None)
+            .pop()
+            .ok_or_else(no_snapshot)?
     }
 
     /// Runs once to the last of `checkpoints` — run durations (s),
@@ -383,11 +295,7 @@ impl PreparedSimulator {
         checkpoints: &[f64],
     ) -> Result<Vec<Result<NodeMetrics>>> {
         let ticks = checkpoint_ticks(checkpoints, self.cfg.tick_s)?;
-        let mut earlier = Vec::with_capacity(ticks.len());
-        let last = self.run_internal(source, &ticks, &mut earlier, None);
-        let mut snapshots: Vec<Result<NodeMetrics>> = earlier.into_iter().map(Ok).collect();
-        snapshots.resize(ticks.len(), last);
-        Ok(snapshots)
+        Ok(self.run_lane(source, &ticks, None))
     }
 
     /// Runs and additionally records a trace sampled every
@@ -408,274 +316,32 @@ impl PreparedSimulator {
         }
         let ticks = [tick_count(duration_s, self.cfg.tick_s)?];
         let mut trace = SystemTrace::default();
-        let m = self.run_internal(
-            source,
-            &ticks,
-            &mut Vec::new(),
-            Some((trace_stride, &mut trace)),
-        )?;
+        let m = self
+            .run_lane(source, &ticks, Some((trace_stride, &mut trace)))
+            .pop()
+            .ok_or_else(no_snapshot)??;
         Ok((m, trace))
     }
 
-    /// The tick loop, run in segments: after `ticks[c]` ticks (a
-    /// validated, nondecreasing list) it takes snapshot `c`. Every
-    /// snapshot but the last is pushed onto `earlier`; the last is
-    /// returned. A mid-run failure returns its error and leaves the
-    /// snapshots taken before it in `earlier`.
-    fn run_internal(
+    /// Runs this simulator as a width-1 batch of the tick kernel and
+    /// returns its snapshot after each of `ticks` (a validated,
+    /// nondecreasing list of tick counts).
+    fn run_lane(
         &self,
         source: &dyn VibrationSource,
         ticks: &[usize],
-        earlier: &mut Vec<NodeMetrics>,
-        mut trace: Option<(usize, &mut SystemTrace)>,
-    ) -> Result<NodeMetrics> {
-        let cfg = &self.cfg;
-        let dt = cfg.tick_s;
-        let warm = self.mode == SolverMode::Warm;
-
-        let mut v = cfg.v_store0;
-        let mut pos = cfg.initial_position;
-        let mut running = cfg.thresholds.update(v, false);
-        let mut next_task_t = 0.0f64;
-        let mut next_check_t = 0.0f64;
-        let mut actuator: Option<ActuatorMove> = None;
-        let mut ema = 0.0f64;
-        let mut ema_primed = false;
-        // Runtime energy-management policy: the policy object lives in
-        // the (shared) config; its scratch state is owned by this run,
-        // so one prepared simulator can serve many concurrent jobs.
-        let mut policy_state = cfg.energy_policy.initial_state();
-
-        let mut packets: u64 = 0;
-        let mut first_packet: Option<f64> = None;
-        let mut uptime_ticks: usize = 0;
-        let mut brownouts: u32 = 0;
-        let mut retunes: u32 = 0;
-        let mut measurements: u32 = 0;
-        let mut tuning_energy = 0.0f64;
-        let mut harvested = 0.0f64;
-        let mut consumed = 0.0f64;
-        let mut min_v_after_on = f64::INFINITY;
-        let mut min_v = f64::INFINITY;
-        let mut ever_on = running;
-
-        // Thevenin memo: the envelope and actuator position are
-        // piecewise-constant in most scenarios, so the equivalent is
-        // keyed on the exact input bits and recomputed only on change.
-        let mut thev_key = (0u64, 0u64, 0u64);
-        let mut thev_val: (f64, Complex) = (0.0, Complex::real(0.0));
-        let mut thev_primed = false;
-        // Warm-start seed: the previous tick's converged input
-        // amplitude.
-        let mut prev_v_pk: Option<f64> = None;
-
-        let mut k_done = 0;
-        for (cp, &k_end) in ticks.iter().enumerate() {
-            for k in k_done..k_end {
-                let t = k as f64 * dt;
-                let env = source.envelope(t);
-
-                // Actuator motion.
-                if let Some(mv) = &actuator {
-                    if t >= mv.t_end {
-                        pos = mv.target_pos;
-                        actuator = None;
-                    } else {
-                        let frac = (t - mv.t_start) / (mv.t_end - mv.t_start);
-                        pos = mv.start_pos + (mv.target_pos - mv.start_pos) * frac;
-                    }
-                }
-
-                // Harvest path.
-                let key = (pos.to_bits(), env.freq_hz.to_bits(), env.amp.to_bits());
-                if !thev_primed || key != thev_key {
-                    thev_val = self
-                        .harv
-                        .thevenin(pos, env.freq_hz, env.amp)
-                        .map_err(|e| NodeError::Model(e.to_string()))?;
-                    thev_key = key;
-                    thev_primed = true;
-                }
-                let (v_oc, z_src) = thev_val;
-                let op = match prev_v_pk {
-                    Some(seed) if warm => {
-                        self.ppu
-                            .operating_point_from(seed, v_oc, z_src, env.freq_hz, v)
-                    }
-                    _ => self.ppu.operating_point(v_oc, z_src, env.freq_hz, v),
-                }
-                .map_err(|e| NodeError::Model(e.to_string()))?;
-                prev_v_pk = Some(op.v_in_amp);
-                let p_in = op.p_store_w;
-                if !ema_primed {
-                    ema = p_in;
-                    ema_primed = true;
-                } else {
-                    ema = cfg.policy.update_ema(ema, p_in);
-                }
-
-                // Energy-management policy hook: observe the tick, get the
-                // action governing it. `PolicyKind::Static` returns the
-                // identity action, and multiplying a period by its 1.0
-                // scale is bit-exact, so the default policy reproduces the
-                // policy-free simulator bit for bit (asserted against
-                // `run_reference` by the equivalence suite).
-                let policy_action = cfg.energy_policy.act(
-                    &mut policy_state,
-                    &PolicyObs {
-                        t_s: t,
-                        dt_s: dt,
-                        v_store: v,
-                        v_on: cfg.thresholds.v_on,
-                        v_off: cfg.thresholds.v_off,
-                        p_harvest_w: p_in,
-                        nominal_period_s: cfg.task.period_s,
-                        p_idle_w: self.p_sleep_in,
-                        e_cycle_j: self.e_cycle_in,
-                        running,
-                    },
-                );
-
-                // Consumption.
-                let mut e_tick = 0.0f64;
-                if running {
-                    e_tick += self.p_sleep_in * dt;
-
-                    // Periodic application task(s). Each firing advances the
-                    // schedule by at least MIN_TASK_PERIOD_S, so the firing
-                    // count per tick is bounded by dt / MIN_TASK_PERIOD_S
-                    // (+1 for the fractional remainder); exceeding that
-                    // bound means the schedule can no longer catch up and
-                    // the run is aborted instead of silently undercounting.
-                    let mut fires: u64 = 0;
-                    while next_task_t <= t {
-                        if fires >= self.max_fires_per_tick {
-                            return Err(task_saturation_error(dt, self.max_fires_per_tick));
-                        }
-                        if !policy_action.skip_fire {
-                            e_tick += self.e_cycle_in;
-                            packets += 1;
-                            if first_packet.is_none() {
-                                first_packet = Some(t);
-                            }
-                        }
-                        // The energy policy's scale composes
-                        // multiplicatively with the duty-cycle policy's
-                        // adapted period; the MIN_TASK_PERIOD_S floor still
-                        // bounds the firing rate, whatever the policy asks.
-                        let period = cfg.policy.period_s(
-                            cfg.task.period_s,
-                            v,
-                            cfg.thresholds.v_on,
-                            cfg.thresholds.v_off,
-                            ema,
-                            self.p_sleep_in,
-                            self.e_cycle_in,
-                        ) * policy_action.period_scale;
-                        next_task_t += period.max(MIN_TASK_PERIOD_S);
-                        fires += 1;
-                    }
-
-                    // Tuning controller.
-                    if cfg.tuning.enabled && t >= next_check_t {
-                        e_tick += self.e_measure_in;
-                        measurements += 1;
-                        next_check_t = t + cfg.tuning.check_interval_s;
-                        if actuator.is_none() {
-                            let resonance = self.harv.resonant_frequency(pos);
-                            if let Some(target) = cfg.tuning.decide(
-                                env.freq_hz,
-                                resonance,
-                                |f| self.harv.position_for_frequency(f),
-                                pos,
-                            ) {
-                                let move_time = cfg.harvester.tuning.tuning_time_s(pos, target);
-                                actuator = Some(ActuatorMove {
-                                    start_pos: pos,
-                                    target_pos: target,
-                                    t_start: t,
-                                    t_end: t + move_time,
-                                });
-                                retunes += 1;
-                            }
-                        }
-                    }
-
-                    // Actuator draw while moving.
-                    if actuator.is_some() {
-                        e_tick += self.e_act_tick;
-                        tuning_energy += self.e_act_tick;
-                    }
-                }
-
-                let p_out = e_tick / dt;
-                // Charge-based stepping so a depleted capacitor cold-starts;
-                // the storage model reports the charging energy it actually
-                // absorbed (clamping included), keeping the harvest ledger
-                // consistent with the state update.
-                let (v_next, e_in) = cfg
-                    .storage
-                    .step_with_current_accounted(v, op.i_out_a, p_out, dt);
-                v = v_next;
-                harvested += e_in;
-                consumed += e_tick;
-
-                let was_running = running;
-                running = cfg.thresholds.update(v, running);
-                if was_running && !running {
-                    brownouts += 1;
-                    // A brown-out aborts any actuator motion.
-                    actuator = None;
-                }
-                if !was_running && running {
-                    // Wake-up: restart the schedules.
-                    next_task_t = t + dt;
-                    next_check_t = t + dt;
-                    ever_on = true;
-                }
-                if running {
-                    uptime_ticks += 1;
-                    ever_on = true;
-                }
-                if ever_on {
-                    min_v_after_on = min_v_after_on.min(v);
-                }
-                min_v = min_v.min(v);
-
-                if let Some((stride, tr)) = &mut trace {
-                    if k % *stride == 0 {
-                        tr.t.push(t);
-                        tr.v_store.push(v);
-                        tr.resonance_hz.push(self.harv.resonant_frequency(pos));
-                        tr.ambient_hz.push(env.freq_hz);
-                        tr.p_harvest_w.push(p_in);
-                        tr.running.push(running);
-                    }
-                }
-            }
-            k_done = k_end;
-            let snapshot = Tally {
-                packets,
-                first_packet,
-                uptime_ticks,
-                brownouts,
-                retunes,
-                measurements,
-                tuning_energy,
-                harvested,
-                consumed,
-                min_v_after_on,
-                min_v,
-                v,
-            }
-            .snapshot(k_end, dt);
-            if cp + 1 == ticks.len() {
-                return Ok(snapshot);
-            }
-            earlier.push(snapshot);
-        }
-        Err(NodeError::invalid("a run needs at least one checkpoint"))
+        trace: Option<(usize, &mut SystemTrace)>,
+    ) -> Vec<Result<NodeMetrics>> {
+        let lane = std::slice::from_ref(self);
+        let snapshots = batch::run_kernel(lane, Excitation::Shared(source), ticks, trace);
+        snapshots.into_iter().flatten().collect()
     }
+}
+
+/// The error for a run that produced no snapshot, which a validated
+/// tick list rules out.
+fn no_snapshot() -> NodeError {
+    NodeError::invalid("the tick kernel returned no snapshot")
 }
 
 pub(crate) fn task_saturation_error(dt: f64, bound: u64) -> NodeError {
@@ -688,9 +354,9 @@ pub(crate) fn task_saturation_error(dt: f64, bound: u64) -> NodeError {
 
 /// The system-level simulator.
 ///
-/// A thin wrapper over [`PreparedSimulator`] in [`SolverMode::Exact`]:
-/// construction validates and precomputes once, and every run is
-/// bit-identical to the straight-line reference implementation
+/// A thin wrapper over [`PreparedSimulator`]: construction validates
+/// and precomputes once, and every run is bit-identical to the
+/// straight-line reference implementation
 /// ([`SystemSimulator::run_reference`]).
 #[derive(Debug, Clone)]
 pub struct SystemSimulator {
@@ -744,12 +410,12 @@ impl SystemSimulator {
     /// The straight-line reference implementation: semantically
     /// identical to [`SystemSimulator::run`] but structured the way the
     /// simulator was before the hot-path refactor — every sub-model is
-    /// re-validated on every tick, the Thevenin equivalent is
-    /// recomputed from scratch, and the PPU solve always cold-starts.
+    /// re-validated on every tick and the Thevenin equivalent is
+    /// recomputed from scratch.
     ///
-    /// Kept for two purposes: it is the differential-testing oracle the
-    /// equivalence suite compares [`PreparedSimulator`] against
-    /// (bit-identical metrics required), and it is the "pre-PR"
+    /// Kept for two purposes: it is the frozen differential-testing
+    /// oracle the equivalence suites compare the batched tick kernel
+    /// against (bit-identical metrics required), and it is the "pre-PR"
     /// baseline the `e10_hotpath` benchmark measures speed-ups from.
     ///
     /// The reference predates the runtime energy-management hook and
@@ -1308,37 +974,6 @@ mod tests {
             let oracle = sim.run_reference(src.as_ref(), *dur).unwrap();
             assert_metrics_bitwise_eq(&fast, &oracle, &format!("case {i}"));
         }
-    }
-
-    #[test]
-    fn warm_solver_matches_exact_to_tolerance() {
-        let cfg = NodeConfig::default_node();
-        let src = resonant_sine(&cfg, 0.9);
-        let exact = PreparedSimulator::with_solver(cfg.clone(), SolverMode::Exact)
-            .unwrap()
-            .run(&src, 1800.0)
-            .unwrap();
-        let warm = PreparedSimulator::with_solver(cfg, SolverMode::Warm)
-            .unwrap()
-            .run(&src, 1800.0)
-            .unwrap();
-        assert_eq!(exact.packets_delivered, warm.packets_delivered);
-        assert_eq!(exact.brownout_count, warm.brownout_count);
-        assert_eq!(exact.retune_count, warm.retune_count);
-        let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-12);
-        assert!(rel(exact.harvested_energy_j, warm.harvested_energy_j) < 1e-6);
-        assert!(rel(exact.consumed_energy_j, warm.consumed_energy_j) < 1e-6);
-        assert!(rel(exact.final_v_store, warm.final_v_store) < 1e-6);
-    }
-
-    #[test]
-    fn solver_mode_defaults_and_accessors() {
-        let cfg = NodeConfig::default_node();
-        let p = PreparedSimulator::new(cfg.clone()).unwrap();
-        assert_eq!(p.solver_mode(), SolverMode::Exact);
-        assert_eq!(p.config().tick_s, cfg.tick_s);
-        let w = PreparedSimulator::with_solver(cfg, SolverMode::Warm).unwrap();
-        assert_eq!(w.solver_mode(), SolverMode::Warm);
     }
 
     #[test]

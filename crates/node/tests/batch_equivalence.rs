@@ -1,14 +1,21 @@
-//! Batched-kernel equivalence suite: the SoA tick kernel must be
-//! bit-identical, lane for lane, to the per-sim oracle
-//! ([`PreparedSimulator::run`]) — across batch widths, duty-cycle
-//! policies, energy policies, solver modes and workloads — and must
-//! capture per-lane mid-run errors with the per-sim error text and the
-//! smallest-failing-lane-index contract.
+//! Batched-kernel equivalence suite. [`PreparedSimulator::run`] is a
+//! width-1 batch of the same kernel, so two oracles apply:
+//!
+//! * under the `Static` energy policy, every lane must be bit-identical
+//!   to the frozen reference loop
+//!   ([`SystemSimulator::run_reference`]), which checks the tick
+//!   program itself, and mid-run failures must carry its error text;
+//! * for every policy, a lane of a width-W batch must be bit-identical
+//!   to the same lane run alone (width 1), which checks chunking and
+//!   lane independence.
+//!
+//! The suite covers batch widths, duty-cycle policies, energy policies
+//! and workloads, and the smallest-failing-lane-index contract.
 
 use ehsim_node::energy_policy::{EnergyAware, PolicyKind, Threshold};
 use ehsim_node::{
     BatchSimulator, DutyCyclePolicy, Excitation, NodeConfig, NodeError, NodeMetrics,
-    PreparedSimulator, SolverMode,
+    PreparedSimulator, SystemSimulator,
 };
 use ehsim_vibration::{DriftSchedule, Envelope, Sine, VibrationSource};
 use proptest::prelude::*;
@@ -50,6 +57,17 @@ fn assert_metrics_bitwise_eq(a: &NodeMetrics, b: &NodeMetrics, what: &str) {
 fn resonant_sine(cfg: &NodeConfig, amp: f64) -> Sine {
     let f = cfg.harvester.resonant_frequency(cfg.initial_position);
     Sine::new(amp, f).expect("valid source")
+}
+
+/// The frozen oracle's run of `cfg`. It predates the energy-policy
+/// hook, so it applies only to `Static` configurations.
+fn reference(
+    cfg: &NodeConfig,
+    source: &dyn VibrationSource,
+    duration_s: f64,
+) -> Result<NodeMetrics, NodeError> {
+    assert_eq!(cfg.energy_policy, PolicyKind::Static, "oracle needs Static");
+    SystemSimulator::new(cfg.clone())?.run_reference(source, duration_s)
 }
 
 /// The fixture matrix: every duty-cycle policy family × every energy
@@ -112,40 +130,35 @@ fn fixture_cases() -> Vec<(NodeConfig, Box<dyn VibrationSource>)> {
     cases
 }
 
-fn run_fixture_widths(mode: SolverMode, duration_s: f64) {
+#[test]
+fn exact_lanes_bit_identical_to_per_sim_oracle() {
+    let duration_s = 600.0;
     let cases = fixture_cases();
+    let mut static_lanes = 0;
     for width in [1usize, 3, 8, 64] {
         let lanes: Vec<PreparedSimulator> = (0..width)
-            .map(|j| {
-                PreparedSimulator::with_solver(cases[j % cases.len()].0.clone(), mode).unwrap()
-            })
+            .map(|j| PreparedSimulator::new(cases[j % cases.len()].0.clone()).unwrap())
             .collect();
         let sources: Vec<&dyn VibrationSource> = (0..width)
             .map(|j| cases[j % cases.len()].1.as_ref())
             .collect();
         let batch = BatchSimulator::new(lanes.clone()).unwrap();
         assert_eq!(batch.width(), width);
-        assert_eq!(batch.solver_mode(), mode);
         let results = run_per_lane(&batch, &sources, duration_s);
         for (j, result) in results.iter().enumerate() {
-            let oracle = lanes[j].run(sources[j], duration_s).unwrap();
             let got = result.as_ref().expect("lane must succeed");
-            assert_metrics_bitwise_eq(got, &oracle, &format!("{mode:?} width {width} lane {j}"));
+            let what = format!("width {width} lane {j}");
+            let solo = lanes[j].run(sources[j], duration_s).unwrap();
+            assert_metrics_bitwise_eq(got, &solo, &format!("{what} vs width 1"));
+            let cfg = lanes[j].config();
+            if cfg.energy_policy == PolicyKind::Static {
+                let oracle = reference(cfg, sources[j], duration_s).unwrap();
+                assert_metrics_bitwise_eq(got, &oracle, &format!("{what} vs run_reference"));
+                static_lanes += 1;
+            }
         }
     }
-}
-
-#[test]
-fn exact_lanes_bit_identical_to_per_sim_oracle() {
-    run_fixture_widths(SolverMode::Exact, 600.0);
-}
-
-#[test]
-fn warm_lanes_bit_identical_to_per_sim_warm() {
-    // Warm mode seeds each solve from the previous tick; the batch
-    // kernel carries the seed per lane and must still match the
-    // per-sim warm path bit for bit.
-    run_fixture_widths(SolverMode::Warm, 600.0);
+    assert!(static_lanes >= 20, "{static_lanes} Static lanes");
 }
 
 #[test]
@@ -161,15 +174,17 @@ fn shared_source_matches_per_sim_runs() {
             c
         })
         .collect();
-    let batch = BatchSimulator::from_configs(cfgs.clone(), SolverMode::Exact).unwrap();
+    let batch = BatchSimulator::from_configs(cfgs.clone()).unwrap();
     let metrics = batch.run(&src, 900.0).unwrap();
     assert_eq!(metrics.len(), 16);
-    for (i, (cfg, got)) in cfgs.into_iter().zip(&metrics).enumerate() {
-        let oracle = PreparedSimulator::new(cfg)
+    for (i, (cfg, got)) in cfgs.iter().zip(&metrics).enumerate() {
+        let oracle = reference(cfg, &src, 900.0).unwrap();
+        assert_metrics_bitwise_eq(got, &oracle, &format!("shared-source lane {i}"));
+        let solo = PreparedSimulator::new(cfg.clone())
             .unwrap()
             .run(&src, 900.0)
             .unwrap();
-        assert_metrics_bitwise_eq(got, &oracle, &format!("shared-source lane {i}"));
+        assert_metrics_bitwise_eq(got, &solo, &format!("shared-source lane {i} vs width 1"));
     }
 }
 
@@ -180,20 +195,12 @@ fn construction_rejects_empty_and_heterogeneous_batches() {
     let mut b = NodeConfig::default_node();
     b.tick_s = a.tick_s * 2.0;
     let lanes = vec![
-        PreparedSimulator::new(a.clone()).unwrap(),
+        PreparedSimulator::new(a).unwrap(),
         PreparedSimulator::new(b).unwrap(),
     ];
     assert!(
         BatchSimulator::new(lanes).is_err(),
         "mixed tick_s must be rejected"
-    );
-    let lanes = vec![
-        PreparedSimulator::with_solver(a.clone(), SolverMode::Exact).unwrap(),
-        PreparedSimulator::with_solver(a, SolverMode::Warm).unwrap(),
-    ];
-    assert!(
-        BatchSimulator::new(lanes).is_err(),
-        "mixed solver modes must be rejected"
     );
 }
 
@@ -201,7 +208,7 @@ fn construction_rejects_empty_and_heterogeneous_batches() {
 fn invalid_durations_rejected_wholesale() {
     let cfg = NodeConfig::default_node();
     let src = resonant_sine(&cfg, 0.9);
-    let batch = BatchSimulator::from_configs(vec![cfg], SolverMode::Exact).unwrap();
+    let batch = BatchSimulator::from_configs(vec![cfg]).unwrap();
     for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, 1e300] {
         assert!(batch.run(&src, bad).is_err(), "duration {bad}");
         assert!(
@@ -214,12 +221,13 @@ fn invalid_durations_rejected_wholesale() {
 }
 
 /// A source that behaves like `inner` until `t_poison`, then emits a
-/// non-finite envelope frequency — the hostile-source scenario the
-/// validation sweep guards against, and the only practical way to make
-/// a healthy lane fail mid-run.
+/// non-finite envelope frequency (or, with `poison_amp`, amplitude) —
+/// the hostile-source scenario the validation sweep guards against, and
+/// the only practical way to make a healthy lane fail mid-run.
 struct PoisonAfter {
     inner: Sine,
     t_poison: f64,
+    poison_amp: bool,
 }
 
 impl VibrationSource for PoisonAfter {
@@ -229,9 +237,30 @@ impl VibrationSource for PoisonAfter {
     fn envelope(&self, t: f64) -> Envelope {
         let mut env = self.inner.envelope(t);
         if t >= self.t_poison {
-            env.freq_hz = f64::INFINITY;
+            if self.poison_amp {
+                env.amp = f64::INFINITY;
+            } else {
+                env.freq_hz = f64::INFINITY;
+            }
         }
         env
+    }
+}
+
+/// A 0.9 m/s² sine at `f` whose frequency turns infinite at `t_poison`.
+fn poison_freq(f: f64, t_poison: f64) -> PoisonAfter {
+    PoisonAfter {
+        inner: Sine::new(0.9, f).unwrap(),
+        t_poison,
+        poison_amp: false,
+    }
+}
+
+/// A 0.9 m/s² sine at `f` whose amplitude turns infinite at `t_poison`.
+fn poison_amp(f: f64, t_poison: f64) -> PoisonAfter {
+    PoisonAfter {
+        poison_amp: true,
+        ..poison_freq(f, t_poison)
     }
 }
 
@@ -240,16 +269,10 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
     let cfg = NodeConfig::default_node();
     let clean = resonant_sine(&cfg, 0.9);
     let f = cfg.harvester.resonant_frequency(cfg.initial_position);
-    // Lanes 1 and 3 are poisoned mid-run (lane 3 earlier than lane 1);
-    // lanes 0, 2, 4 stay healthy.
-    let poisoned_late = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 200.0,
-    };
-    let poisoned_early = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 50.0,
-    };
+    // Lanes 1 and 3 are poisoned mid-run (lane 3 earlier than lane 1,
+    // through its amplitude); lanes 0, 2, 4 stay healthy.
+    let poisoned_late = poison_freq(f, 200.0);
+    let poisoned_early = poison_amp(f, 50.0);
     let sources: Vec<&dyn VibrationSource> =
         vec![&clean, &poisoned_late, &clean, &poisoned_early, &clean];
     let lanes: Vec<PreparedSimulator> = (0..5)
@@ -259,20 +282,10 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
     let results = run_per_lane(&batch, &sources, 400.0);
 
     for (i, result) in results.iter().enumerate() {
-        let oracle = lanes[i].run(sources[i], 400.0);
-        match (result, oracle) {
-            (Ok(got), Ok(want)) => {
-                assert_metrics_bitwise_eq(got, &want, &format!("healthy lane {i}"))
-            }
-            (Err(got), Err(want)) => {
-                assert_eq!(
-                    got.to_string(),
-                    want.to_string(),
-                    "lane {i} must fail with the per-sim error"
-                );
-            }
-            (got, want) => panic!("lane {i}: batch {got:?} vs per-sim {want:?}"),
-        }
+        let oracle = reference(&cfg, sources[i], 400.0);
+        assert_same_outcome(result, &oracle, &format!("lane {i} vs run_reference"));
+        let solo = lanes[i].run(sources[i], 400.0);
+        assert_same_outcome(result, &solo, &format!("lane {i} vs width 1"));
     }
     assert!(results[1].is_err() && results[3].is_err());
 
@@ -282,7 +295,7 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .unwrap_err();
-    let lane1_err = lanes[1].run(sources[1], 400.0).unwrap_err();
+    let lane1_err = reference(&cfg, sources[1], 400.0).unwrap_err();
     assert_eq!(err.to_string(), lane1_err.to_string());
 }
 
@@ -290,10 +303,7 @@ fn per_lane_errors_captured_with_smallest_failing_index() {
 fn shared_poison_source_fails_every_lane_and_run_reports_lane_zero() {
     let cfg = NodeConfig::default_node();
     let f = cfg.harvester.resonant_frequency(cfg.initial_position);
-    let poison = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 30.0,
-    };
+    let poison = poison_freq(f, 30.0);
     let lanes: Vec<PreparedSimulator> = (0..3)
         .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
         .collect();
@@ -303,7 +313,7 @@ fn shared_poison_source_fails_every_lane_and_run_reports_lane_zero() {
         .unwrap();
     assert!(results.iter().flatten().all(Result::is_err));
     let run_err = batch.run(&poison, 120.0).unwrap_err();
-    let oracle_err = lanes[0].run(&poison, 120.0).unwrap_err();
+    let oracle_err = reference(&cfg, &poison, 120.0).unwrap_err();
     assert_eq!(run_err.to_string(), oracle_err.to_string());
 }
 
@@ -327,7 +337,8 @@ fn assert_same_outcome(
 
 /// Checks both checkpointed entry points against fresh runs: every
 /// batched snapshot `[c][i]` and every per-sim snapshot `c` of lane `i`
-/// must equal `run(sources[i], checkpoints[c])`.
+/// must equal `run(sources[i], checkpoints[c])` and, for a `Static`
+/// lane, `run_reference(sources[i], checkpoints[c])`.
 fn assert_checkpoints_match_fresh_runs(
     lanes: &[PreparedSimulator],
     sources: &[&dyn VibrationSource],
@@ -351,6 +362,10 @@ fn assert_checkpoints_match_fresh_runs(
             let label = format!("{what}: lane {i} checkpoint {c} ({t} s)");
             assert_same_outcome(&batched[c][i], &fresh, &format!("batched {label}"));
             assert_same_outcome(&per_sim[c], &fresh, &format!("per-sim {label}"));
+            if lane.config().energy_policy == PolicyKind::Static {
+                let oracle = reference(lane.config(), sources[i], t);
+                assert_same_outcome(&batched[c][i], &oracle, &format!("reference {label}"));
+            }
         }
     }
     batched
@@ -362,20 +377,13 @@ fn checkpoint_snapshots_are_bit_identical_to_fresh_runs() {
     // checkpoints included.
     let checkpoints = [0.04, 50.0, 180.0, 180.0, 333.33, 600.0];
     let cases = fixture_cases();
-    for mode in [SolverMode::Exact, SolverMode::Warm] {
-        let lanes: Vec<PreparedSimulator> = cases
-            .iter()
-            .map(|(cfg, _)| PreparedSimulator::with_solver(cfg.clone(), mode).unwrap())
-            .collect();
-        let sources: Vec<&dyn VibrationSource> = cases.iter().map(|(_, s)| s.as_ref()).collect();
-        let batched = assert_checkpoints_match_fresh_runs(
-            &lanes,
-            &sources,
-            &checkpoints,
-            &format!("{mode:?}"),
-        );
-        assert!(batched.iter().flatten().all(Result::is_ok));
-    }
+    let lanes: Vec<PreparedSimulator> = cases
+        .iter()
+        .map(|(cfg, _)| PreparedSimulator::new(cfg.clone()).unwrap())
+        .collect();
+    let sources: Vec<&dyn VibrationSource> = cases.iter().map(|(_, s)| s.as_ref()).collect();
+    let batched = assert_checkpoints_match_fresh_runs(&lanes, &sources, &checkpoints, "fixtures");
+    assert!(batched.iter().flatten().all(Result::is_ok));
 }
 
 #[test]
@@ -383,14 +391,8 @@ fn checkpoint_lanes_poisoned_between_checkpoints_fail_from_then_on() {
     let cfg = NodeConfig::default_node();
     let clean = resonant_sine(&cfg, 0.9);
     let f = cfg.harvester.resonant_frequency(cfg.initial_position);
-    let poisoned_late = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 120.0,
-    };
-    let poisoned_early = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 20.0,
-    };
+    let poisoned_late = poison_freq(f, 120.0);
+    let poisoned_early = poison_freq(f, 20.0);
     let sources: Vec<&dyn VibrationSource> = vec![&clean, &poisoned_late, &clean, &poisoned_early];
     let lanes: Vec<PreparedSimulator> = (0..sources.len())
         .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
@@ -435,10 +437,7 @@ impl VibrationSource for CountingPoison {
 fn checkpoint_run_exits_early_once_every_lane_is_dead() {
     let cfg = NodeConfig::default_node();
     let f = cfg.harvester.resonant_frequency(cfg.initial_position);
-    let poison = PoisonAfter {
-        inner: Sine::new(0.9, f).unwrap(),
-        t_poison: 30.0,
-    };
+    let poison = poison_freq(f, 30.0);
     let lanes: Vec<PreparedSimulator> = (0..3)
         .map(|_| PreparedSimulator::new(cfg.clone()).unwrap())
         .collect();
@@ -454,10 +453,7 @@ fn checkpoint_run_exits_early_once_every_lane_is_dead() {
     // until the batch is empty: 301 ticks (0..=300 at dt = 0.1 s), not
     // the 50 000 the horizon asks for.
     let counting = CountingPoison {
-        poison: PoisonAfter {
-            inner: Sine::new(0.9, f).unwrap(),
-            t_poison: 30.0,
-        },
+        poison: poison_freq(f, 30.0),
         calls: AtomicUsize::new(0),
     };
     let batch = BatchSimulator::new(lanes).unwrap();
@@ -515,7 +511,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomised widths and configuration spreads: every lane of a
-    /// batch must reproduce its per-sim run bit for bit.
+    /// batch must reproduce its width-1 run bit for bit, and a `Static`
+    /// lane its reference run.
     #[test]
     fn random_batches_bit_identical_to_per_sim(
         width in 1usize..6,
@@ -524,7 +521,6 @@ proptest! {
         amp in 0.5f64..1.0,
         duty_sel in 0usize..3,
         energy_sel in 0usize..3,
-        warm_sel in 0usize..2,
     ) {
         let mut base = NodeConfig::default_node();
         base.policy = match duty_sel {
@@ -551,15 +547,18 @@ proptest! {
                 c
             })
             .collect();
-        let mode = if warm_sel == 1 { SolverMode::Warm } else { SolverMode::Exact };
-        let batch = BatchSimulator::from_configs(cfgs.clone(), mode).unwrap();
+        let batch = BatchSimulator::from_configs(cfgs.clone()).unwrap();
         let metrics = batch.run(&src, 240.0).unwrap();
-        for (i, cfg) in cfgs.into_iter().enumerate() {
-            let oracle = PreparedSimulator::with_solver(cfg, mode)
+        for (i, cfg) in cfgs.iter().enumerate() {
+            let solo = PreparedSimulator::new(cfg.clone())
                 .unwrap()
                 .run(&src, 240.0)
                 .unwrap();
-            assert_metrics_bitwise_eq(&metrics[i], &oracle, &format!("prop lane {i}"));
+            assert_metrics_bitwise_eq(&metrics[i], &solo, &format!("prop lane {i}"));
+            if cfg.energy_policy == PolicyKind::Static {
+                let oracle = reference(cfg, &src, 240.0).unwrap();
+                assert_metrics_bitwise_eq(&metrics[i], &oracle, &format!("prop lane {i} reference"));
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The scalar [`PreparedPpu`] solve is a damped fixed-point iteration
 //! whose per-iteration arithmetic (a handful of multiplies, ~3 divides
 //! and a complex magnitude) forms one long serial dependency chain —
-//! the cold solve is *latency*-bound, not throughput-bound. When many
+//! the solve is *latency*-bound, not throughput-bound. When many
 //! independent simulations step together (the batched SoA tick kernel
 //! in `ehsim-node`), iterating **all unconverged lanes once per round**
 //! fills the pipeline with independent chains and converts the solve to
@@ -13,10 +13,9 @@
 //! # Bit-exactness contract
 //!
 //! Each lane executes *exactly* the float-operation sequence of
-//! [`PreparedPpu::operating_point`] (or, given a usable seed,
-//! [`PreparedPpu::operating_point_from`]): the same seed resolution,
-//! the same per-iteration body, the same damping and the same exit
-//! tests, merely interleaved with other lanes between rounds. Lanes
+//! [`PreparedPpu::operating_point`]: the same start point, the same
+//! per-iteration body, the same damping and the same exit tests,
+//! merely interleaved with other lanes between rounds. Lanes
 //! never exchange data, so every lane's result is bit-identical to the
 //! scalar solve by construction — asserted by the property suite below
 //! and by the `ehsim-node` batch-equivalence suite on whole runs.
@@ -49,18 +48,14 @@ impl BatchPpuSolver {
     ///
     /// Inputs are parallel slices of one logical lane array: per-lane
     /// solver constants (`ppus`), Thevenin drive (`v_oc`, `z_src`,
-    /// `freq_hz`), storage voltage (`v_store`) and warm-start seed
-    /// (`seed[i]`; any non-finite or non-positive value — use
-    /// `f64::NAN` — selects the cold start, mirroring
-    /// [`PreparedPpu::operating_point_from`]).
+    /// `freq_hz`) and storage voltage (`v_store`).
     ///
     /// On return, for every active lane, `ok[i]` says whether the
     /// lane's inputs passed the scalar solve's validation; if so
     /// `out[i]` holds its operating point, bit-identical to the scalar
     /// solve of the same inputs. Inactive lanes are left untouched.
     /// Callers wanting the scalar path's error message for an `!ok[i]`
-    /// lane can re-run [`PreparedPpu::operating_point`] on that lane —
-    /// the error path is cold by contract.
+    /// lane can re-run [`PreparedPpu::operating_point`] on that lane.
     ///
     /// # Panics
     ///
@@ -73,7 +68,6 @@ impl BatchPpuSolver {
         z_src: &[Complex],
         freq_hz: &[f64],
         v_store: &[f64],
-        seed: &[f64],
         active: &[bool],
         out: &mut [PpuOperatingPoint],
         ok: &mut [bool],
@@ -85,7 +79,6 @@ impl BatchPpuSolver {
                 z_src.len(),
                 freq_hz.len(),
                 v_store.len(),
-                seed.len(),
                 active.len(),
                 out.len(),
                 ok.len(),
@@ -98,8 +91,8 @@ impl BatchPpuSolver {
         self.r_droop.resize(w, 0.0);
         self.iterating.clear();
 
-        // Pre-phase: validation, droop resistance, dead zone and seed
-        // resolution — the straight-line prefix of the scalar solve.
+        // Pre-phase: validation, droop resistance and dead zone — the
+        // straight-line prefix of the scalar solve.
         for i in 0..w {
             if !active[i] {
                 continue;
@@ -127,11 +120,7 @@ impl BatchPpuSolver {
                 };
                 continue;
             }
-            self.v_pk[i] = if seed[i].is_finite() && seed[i] > 0.0 {
-                seed[i]
-            } else {
-                v_oc[i]
-            };
+            self.v_pk[i] = v_oc[i];
             self.iterating.push(i as u32);
         }
 
@@ -205,15 +194,15 @@ impl BatchPpuSolver {
         }
 
         // Rare straggler path: lanes that never met the convergence test
-        // within the round budget. The scalar solve with the same seed
-        // replays the identical iteration sequence, so its (equally
+        // within the round budget. The scalar solve replays the
+        // identical iteration sequence, so its (equally
         // unconverged) final operating point is bit-identical to what
         // the per-iteration stores used to produce. The pre-phase
         // validated these inputs, so the scalar solve accepts them; were
         // it to refuse, the lane is flagged like any other failure.
         for &iu in iterating.iter() {
             let i = iu as usize;
-            match ppus[i].operating_point_from(seed[i], v_oc[i], z_src[i], freq_hz[i], v_store[i]) {
+            match ppus[i].operating_point(v_oc[i], z_src[i], freq_hz[i], v_store[i]) {
                 Ok(op) => out[i] = op,
                 Err(_) => ok[i] = false,
             }
@@ -237,7 +226,7 @@ mod tests {
     }
 
     /// Drives the batch solver over a grid of heterogeneous lanes and
-    /// asserts bit-identity against the scalar solve, cold and warm.
+    /// asserts bit-identity against the scalar solve.
     #[test]
     fn batch_matches_scalar_bit_for_bit() {
         let ppus: Vec<PreparedPpu> = (1..=8)
@@ -275,31 +264,15 @@ mod tests {
         let mut ok = vec![false; w];
         let mut solver = BatchPpuSolver::new();
 
-        // Cold start.
-        let seed = vec![f64::NAN; w];
         solver.solve(
-            &ppus, &v_oc, &z_src, &freq, &v_store, &seed, &active, &mut out, &mut ok,
+            &ppus, &v_oc, &z_src, &freq, &v_store, &active, &mut out, &mut ok,
         );
         for i in 0..w {
             assert!(ok[i], "lane {i}");
             let scalar = ppus[i]
                 .operating_point(v_oc[i], z_src[i], freq[i], v_store[i])
                 .unwrap();
-            assert_eq!(op_bits(&out[i]), op_bits(&scalar), "cold lane {i}");
-        }
-
-        // Warm start from each lane's converged amplitude (plus a
-        // non-positive seed that must fall back to cold).
-        let mut seed: Vec<f64> = out.iter().map(|op| op.v_in_amp).collect();
-        seed[3] = -1.0;
-        solver.solve(
-            &ppus, &v_oc, &z_src, &freq, &v_store, &seed, &active, &mut out, &mut ok,
-        );
-        for i in 0..w {
-            let scalar = ppus[i]
-                .operating_point_from(seed[i], v_oc[i], z_src[i], freq[i], v_store[i])
-                .unwrap();
-            assert_eq!(op_bits(&out[i]), op_bits(&scalar), "warm lane {i}");
+            assert_eq!(op_bits(&out[i]), op_bits(&scalar), "lane {i}");
         }
     }
 
@@ -311,7 +284,6 @@ mod tests {
         let z_src = vec![Complex::real(2e3); 3];
         let freq = vec![60.0; 3];
         let v_store = vec![1.0; 3];
-        let seed = vec![f64::NAN; 3];
         let active = vec![true, true, false];
         let sentinel = PpuOperatingPoint {
             p_store_w: -7.0,
@@ -323,7 +295,7 @@ mod tests {
         let mut out = vec![sentinel; 3];
         let mut ok = vec![true; 3];
         BatchPpuSolver::new().solve(
-            &ppus, &v_oc, &z_src, &freq, &v_store, &seed, &active, &mut out, &mut ok,
+            &ppus, &v_oc, &z_src, &freq, &v_store, &active, &mut out, &mut ok,
         );
         assert!(ok[0]);
         assert!(!ok[1], "infinite v_oc must fail validation");

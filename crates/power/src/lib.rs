@@ -142,13 +142,12 @@ pub struct PpuOperatingPoint {
 /// This is the hot-path entry point of the system-level simulator: it
 /// removes the per-call parameter validation (and its error-path
 /// machinery) from a function executed once per simulation tick,
-/// millions of times per DoE campaign, and it exposes the warm-started
-/// solve [`PreparedPpu::operating_point_from`].
+/// millions of times per DoE campaign.
 ///
-/// The cold-start [`PreparedPpu::operating_point`] is bit-identical to
-/// [`Multiplier::operating_point`] by construction — both run the same
-/// fixed-point iteration from the same seed (see the property suite in
-/// `tests/warm_start.rs`).
+/// [`PreparedPpu::operating_point`] is bit-identical to
+/// [`Multiplier::operating_point`] by construction — the latter
+/// prepares and calls it (see the property suite in
+/// `tests/prepared_solve.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedPpu {
     n2: f64,
@@ -163,8 +162,12 @@ impl PreparedPpu {
         self.droop_num / (freq_hz * self.stage_capacitance)
     }
 
-    /// Cold-started behavioural operating point; bit-identical to
-    /// [`Multiplier::operating_point`].
+    /// Behavioural operating point; [`Multiplier::operating_point`]
+    /// prepares and calls it.
+    ///
+    /// [`BatchPpuSolver`] transcribes this fixed-point iteration
+    /// verbatim and every CSV artefact depends on its bits, so its
+    /// float-operation sequence changes in both places or in neither.
     ///
     /// # Errors
     ///
@@ -177,66 +180,10 @@ impl PreparedPpu {
         freq_hz: f64,
         v_store: f64,
     ) -> Result<PpuOperatingPoint> {
-        self.solve(v_oc, z_src, freq_hz, v_store, None)
-    }
-
-    /// Warm-started behavioural operating point: the fixed-point
-    /// iteration is seeded from `prev_v_pk` — typically the
-    /// [`PpuOperatingPoint::v_in_amp`] of the previous simulation tick —
-    /// instead of the open-circuit amplitude, and exits as soon as the
-    /// convergence criterion holds (often on the first iteration when
-    /// the inputs moved only slightly between ticks).
-    ///
-    /// Wherever the damped fixed-point iteration converges — the whole
-    /// physical operating range of the shipped device models — the
-    /// result agrees with the cold-started solve to the solver's
-    /// convergence tolerance (1 ppb on the loaded input amplitude); on
-    /// the dead-zone path (`v_oc` below the diode drop) the two are
-    /// bit-identical because the seed is never consulted. In the
-    /// iteration's non-contracting corner (source impedance far above
-    /// the pump's equivalent input resistance, right at the dead-zone
-    /// crossing) the legacy solver itself stops seed-dependently on a
-    /// bounded limit cycle, and warm and cold starts may land on
-    /// different points of that cycle. A non-finite or non-positive
-    /// seed falls back to the cold start.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PreparedPpu::operating_point`].
-    pub fn operating_point_from(
-        &self,
-        prev_v_pk: f64,
-        v_oc: f64,
-        z_src: Complex,
-        freq_hz: f64,
-        v_store: f64,
-    ) -> Result<PpuOperatingPoint> {
-        let seed = if prev_v_pk.is_finite() && prev_v_pk > 0.0 {
-            Some(prev_v_pk)
-        } else {
-            None
-        };
-        self.solve(v_oc, z_src, freq_hz, v_store, seed)
-    }
-
-    /// The shared fixed-point solve. With `seed == None` this is the
-    /// legacy cold start (`v_pk` starts at `v_oc`); the float-operation
-    /// sequence is kept identical to the pre-refactor
-    /// `Multiplier::operating_point` so cold results are bit-stable
-    /// across the refactor.
-    fn solve(
-        &self,
-        v_oc: f64,
-        z_src: Complex,
-        freq_hz: f64,
-        v_store: f64,
-        seed: Option<f64>,
-    ) -> Result<PpuOperatingPoint> {
         // Finiteness is part of the contract: an infinite frequency
         // (from a hostile vibration source) or an infinite open-circuit
         // amplitude must error here rather than seed the fixed-point
-        // iteration (and, downstream, the simulator's warm-start memo)
-        // with NaN.
+        // iteration with NaN.
         if !(freq_hz > 0.0 && freq_hz.is_finite())
             || !(v_oc >= 0.0 && v_oc.is_finite())
             || !(v_store >= 0.0 && v_store.is_finite())
@@ -262,7 +209,7 @@ impl PreparedPpu {
 
         // Fixed point: v_pk -> pump current -> equivalent input
         // resistance -> loaded v_pk.
-        let mut v_pk = seed.unwrap_or(v_oc);
+        let mut v_pk = v_oc;
         let mut op = idle;
         for _ in 0..60 {
             let v_out_oc = n2 * (v_pk - v_d).max(0.0);
@@ -444,7 +391,8 @@ impl Multiplier {
         freq_hz: f64,
         v_store: f64,
     ) -> Result<PpuOperatingPoint> {
-        self.prepared()?.solve(v_oc, z_src, freq_hz, v_store, None)
+        self.prepared()?
+            .operating_point(v_oc, z_src, freq_hz, v_store)
     }
 }
 
@@ -719,7 +667,7 @@ mod tests {
     fn operating_point_rejects_non_finite_inputs() {
         // Regression: infinite envelope values reaching the solve (via
         // a hostile vibration source) must error instead of iterating
-        // on NaN and poisoning the warm-start seed.
+        // on NaN.
         let p = Multiplier::default().prepared().unwrap();
         let z = Complex::real(2e3);
         for (v_oc, f, v_st) in [
@@ -733,10 +681,6 @@ mod tests {
             assert!(
                 p.operating_point(v_oc, z, f, v_st).is_err(),
                 "operating_point({v_oc}, {f}, {v_st})"
-            );
-            assert!(
-                p.operating_point_from(1.0, v_oc, z, f, v_st).is_err(),
-                "operating_point_from({v_oc}, {f}, {v_st})"
             );
         }
     }

@@ -3,33 +3,36 @@
 //! The contract under test: a [`FleetSimulator`] run — whatever the
 //! dispatch strategy (auto, per-sim) and whatever the scheduler thread
 //! count — is **bit-identical, node for node**, to a sequential oracle
-//! loop that prepares and runs each node's simulation by hand, straight
-//! from the spec, with no fleet machinery involved. This is the
-//! network-layer extension of the batch kernel's lane-for-lane
-//! bit-exactness contract, checked across 1/2/8 threads for both
-//! single-tick fleets and mixed-tick fleets (batched per tick program),
-//! and through to the derived [`ehsim::net::FleetMetrics`] record.
+//! loop that runs each node's simulation by hand through the frozen
+//! reference tick loop, straight from the spec, with no fleet machinery
+//! involved. This is the network-layer extension of the batch kernel's
+//! lane-for-lane bit-exactness contract, checked across 1/2/8 threads
+//! for both single-tick fleets and mixed-tick fleets (batched per tick
+//! length), and through to the derived [`ehsim::net::FleetMetrics`]
+//! record.
 
 use ehsim::net::{
     node_seed, Dispatch, FleetEnvironment, FleetSimulator, FleetSpec, Placement, Point,
 };
-use ehsim::node::{NodeConfig, NodeMetrics, PreparedSimulator};
+use ehsim::node::{NodeConfig, NodeMetrics, PolicyKind, SystemSimulator};
 
-/// The oracle: one hand-rolled `PreparedSimulator` per node, run
+/// The oracle: `SystemSimulator::run_reference` per node, run
 /// sequentially against the node's split vibration stream — no
-/// `FleetSimulator`, no batch kernel, no scheduler.
+/// `FleetSimulator`, no batch kernel, no scheduler. The reference loop
+/// ignores the energy-policy hook, so every node must run the `Static`
+/// policy.
 fn oracle_metrics(spec: &FleetSpec) -> Vec<NodeMetrics> {
     spec.nodes
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            let sim = PreparedSimulator::with_solver(node.config.clone(), spec.solver)
-                .expect("oracle node prepares");
+            assert_eq!(node.config.energy_policy, PolicyKind::Static, "node {i}");
+            let sim = SystemSimulator::new(node.config.clone()).expect("oracle node prepares");
             let source = spec
                 .environment
                 .source_for(node_seed(spec.fleet_seed, i))
                 .expect("oracle node source builds");
-            sim.run(source.as_ref(), spec.duration_s)
+            sim.run_reference(source.as_ref(), spec.duration_s)
                 .expect("oracle node runs")
         })
         .collect()
@@ -98,7 +101,7 @@ fn homogeneous_spec(n: usize) -> FleetSpec {
 }
 
 /// A mixed-tick fleet: same floor, but a third of the nodes run a
-/// finer tick — auto dispatch must batch each tick program separately
+/// finer tick — auto dispatch must batch each tick length separately
 /// without changing a bit.
 fn mixed_tick_spec(n: usize) -> FleetSpec {
     let mut spec = homogeneous_spec(n);
@@ -223,7 +226,7 @@ use ehsim::net::{NetError, RoutingPolicy, Topology};
 /// the cap instantly anyway), and a heavy fixed sensing duty, so the
 /// node browns out partway through the run and the exclusion-set /
 /// route-repair machinery has real work to do. The tick is unchanged,
-/// so the whole fleet is one tick program.
+/// so the whole fleet is one tick length.
 fn starved_node_spec(n: usize) -> FleetSpec {
     let mut spec = homogeneous_spec(n);
     let cfg = &mut spec.nodes[3].config;
