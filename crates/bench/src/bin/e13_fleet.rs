@@ -37,7 +37,7 @@ use ehsim_core::space::{DesignSpace, Factor};
 use ehsim_doe::design::ccd::CentralComposite;
 use ehsim_doe::optimize::{optimize_fn, Goal};
 use ehsim_doe::{Design, FittedModel};
-use ehsim_net::{FleetSimulator, FleetSpec, Point, RadioEnergyModel, Topology};
+use ehsim_net::{Dispatch, FleetSimulator, FleetSpec, Point, RadioEnergyModel, Topology};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -406,7 +406,8 @@ struct FleetTickPoint {
 /// The scaling benchmark behind `BENCH_fleet.json`: grid-bucket vs
 /// all-pairs topology build at 1k/10k nodes (bit-identity asserted
 /// in-binary before any clock starts, ≥ 20× required at 10k), a
-/// 100k-node grid-only build, and batched fleet node-phase throughput.
+/// 100k-node grid-only build, and batched fleet node-phase throughput
+/// (the node phase alone, best of 3).
 fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
     println!("\nfleet-layer scaling — topology build and node-phase throughput");
 
@@ -511,12 +512,19 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
         let spec = FleetSpec::homogeneous(e13_base_config(), positions, sink, range_m, duration_s);
         let tick_s = spec.nodes[0].config.tick_s;
         let fleet = FleetSimulator::prepare(spec, threads).expect("bench fleet prepares");
-        // Warm once (allocators, caches), then time one full run.
+        // Warm once (allocators, caches), then time the node phase alone
+        // (no routing or accounting), best of 3 like the builds above.
         fleet.run(threads).expect("warm-up run");
-        let start = Instant::now();
-        let out = fleet.run(threads).expect("timed run");
-        let wall = start.elapsed().as_secs_f64();
-        assert_eq!(out.per_node.len(), n);
+        let mut wall = f64::INFINITY;
+        for _ in 0..3 {
+            let start = Instant::now();
+            let nodes = fleet
+                .run_nodes(threads, Dispatch::Auto)
+                .expect("timed node phase");
+            wall = wall.min(start.elapsed().as_secs_f64());
+            assert_eq!(nodes.len(), n);
+            assert!(nodes.iter().all(Result::is_ok), "a bench node failed");
+        }
         let node_ticks = n as f64 * (duration_s / tick_s);
         println!("{:<10} {:>12.0} {:>18.0}", n, duration_s, node_ticks / wall);
         tick_points.push(FleetTickPoint {

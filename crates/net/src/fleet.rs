@@ -26,16 +26,19 @@
 //!    accounting pass per epoch. Packets originate at each node
 //!    (`packets_delivered` of the node simulation — the node's own
 //!    radio cost is already inside its energy trace) and flow to the
-//!    sink along the epoch's routing tree. Each relay pays
-//!    [`RadioEnergyModel::hop_energy_j`] per forwarded packet out of
-//!    its **energy headroom** — the stored energy above its brown-out
-//!    threshold at the epoch boundary, minus what earlier epochs
-//!    already spent (zero once the node has browned out). A relay
-//!    whose epoch demand exceeds its available headroom forwards only
-//!    the fraction it can afford (a deterministic fluid approximation:
-//!    each packet stream is scaled by the product of its relays'
-//!    forwarding fractions), and its extrapolated exhaustion time
-//!    feeds the fleet's first-node-death indicator.
+//!    sink along the epoch's routing tree: each pass walks every node's
+//!    next-hop chain over relay energies computed once per route table,
+//!    in `O(n)` memory. A relay's demand prices all traffic sent to it
+//!    at [`RadioEnergyModel::hop_energy_j`] per packet, against its
+//!    **headroom** — the stored energy above its brown-out threshold at
+//!    the epoch boundary (zero once browned out), less what earlier
+//!    epochs spent. A relay whose demand exceeds its headroom forwards
+//!    only the fraction it can afford (a deterministic fluid
+//!    approximation: each stream is scaled by the product of its
+//!    relays' forwarding fractions) and its extrapolated exhaustion time
+//!    feeds the fleet's first-node-death indicator. The fraction scales
+//!    only the transmit energy; receive energy is paid on all arriving
+//!    traffic, so such a relay spends more than its headroom.
 //!
 //! **Route repair**: at each epoch boundary, relays that have browned
 //! out are excluded and the energy-aware routes are recomputed on the
@@ -73,6 +76,7 @@ use ehsim_vibration::{FilteredNoise, VibrationSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
+use std::iter::successors;
 use std::sync::Arc;
 
 /// How packets are routed to the sink.
@@ -660,7 +664,6 @@ impl FleetSimulator {
             return Err(NetError::invalid("network accounting needs snapshots"));
         };
         let n = per_node.len();
-        let epochs = snapshots.len();
         let sink = self.topology.sink_index();
         let duration_s = self.spec.duration_s;
         let radio = &self.spec.radio;
@@ -673,12 +676,7 @@ impl FleetSimulator {
                 self.topology.position(v)
             }
         };
-        // Per-packet forwarding energy of relay `path[j]` on a path:
-        // receive, then transmit to `path[j + 1]`.
-        let hop_energy = |path: &[usize], j: usize| {
-            let d = vpos(path[j]).distance_m(&vpos(path[j + 1]));
-            radio.hop_energy_j(bits, d)
-        };
+        let rx_j = radio.rx_energy_j(bits);
 
         // Cumulative state threaded across epochs.
         let mut spent = vec![0.0f64; n];
@@ -690,12 +688,14 @@ impl FleetSimulator {
         let mut relay_hops = 0.0f64;
         let mut prev_packets: Vec<u64> = vec![0; n];
         let mut prev_browned = vec![false; n];
-        let mut prev_reachable: Vec<bool> = Vec::new();
+        // The route table, every vertex's hop count under it (`None`:
+        // no route), and every node's per-packet energy to relay to its
+        // next hop: rx + tx (pass 1) and tx alone (pass 2).
         let mut routes: Option<Routes> = None;
+        let (mut hops, mut hop_j, mut tx_j) = (Vec::new(), Vec::new(), Vec::new());
         let mut route_repairs = 0u32;
-        let mut audits: Vec<EpochAudit> = Vec::with_capacity(epochs);
+        let mut audits: Vec<EpochAudit> = Vec::with_capacity(snapshots.len());
         let mut t_prev = 0.0f64;
-        let mut last_paths: Vec<Option<Vec<usize>>> = Vec::new();
         let mut last_headroom = vec![0.0f64; n];
 
         for (e, (snap, &t_end)) in snapshots.iter().zip(ends).enumerate() {
@@ -713,6 +713,7 @@ impl FleetSimulator {
                 RoutingPolicy::EnergyAware => routes.is_none() || browned != prev_browned,
             };
             let rerouted = recompute && e > 0;
+            let mut newly_stranded = Vec::new();
             if recompute {
                 let r = match self.spec.routing {
                     RoutingPolicy::MinHop => self.topology.min_hop_routes(),
@@ -720,26 +721,30 @@ impl FleetSimulator {
                         self.topology.energy_aware_routes(radio, bits, &browned)?
                     }
                 };
+                let prev_hops = std::mem::replace(&mut hops, r.hop_counts());
                 if rerouted {
                     route_repairs += 1;
+                    newly_stranded = (0..n)
+                        .filter(|&i| prev_hops[i].is_some() && hops[i].is_none())
+                        .collect();
                 }
+                (hop_j, tx_j) = (0..n)
+                    .map(|u| {
+                        let d = r.next_hop(u).map_or(0.0, |v| vpos(u).distance_m(&vpos(v)));
+                        (radio.hop_energy_j(bits, d), radio.tx_energy_j(bits, d))
+                    })
+                    .unzip();
                 routes = Some(r);
             }
-            let Some(routes_e) = routes.as_ref() else {
-                return Err(NetError::invalid("routes unavailable after recompute"));
-            };
-            let paths: Vec<Option<Vec<usize>>> = (0..n).map(|i| routes_e.path(i).ok()).collect();
             if self.spec.on_partition == PartitionPolicy::Error {
-                if let Some(node) = (0..n).find(|&i| paths[i].is_none()) {
+                if let Some(node) = (0..n).find(|&i| hops[i].is_none()) {
                     return Err(NetError::Partitioned { epoch: e, node });
                 }
             }
-            let newly_stranded: Vec<usize> = if e == 0 {
-                Vec::new()
-            } else {
-                (0..n)
-                    .filter(|&i| prev_reachable[i] && paths[i].is_none())
-                    .collect()
+            // Node `i`'s relays in hop order; `None` if it has no route.
+            let relays = |i: usize| {
+                let r = routes.as_ref().filter(|_| hops[i].is_some())?;
+                Some(successors(r.next_hop(i), move |&v| r.next_hop(v)).take_while(|&v| v != sink))
             };
 
             // Headroom at this epoch's boundary: stored energy above
@@ -766,10 +771,10 @@ impl FleetSimulator {
 
             // Pass 1 — relay demand at full (unscaled) epoch traffic.
             let mut demand = vec![0.0f64; n];
-            for i in 0..n {
-                let Some(path) = &paths[i] else { continue };
-                for j in 1..path.len() - 1 {
-                    demand[path[j]] += originated[i] * hop_energy(path, j);
+            for (i, &packets) in originated.iter().enumerate() {
+                let Some(route) = relays(i) else { continue };
+                for u in route {
+                    demand[u] += packets * hop_j[u];
                 }
             }
 
@@ -789,16 +794,13 @@ impl FleetSimulator {
             // relays' forwarding fractions; relays pay rx on what
             // arrives and tx on what they forward.
             let mut delivered = vec![0.0f64; n];
-            for i in 0..n {
-                let Some(path) = &paths[i] else { continue };
-                let mut flow = originated[i];
-                for j in 1..path.len() - 1 {
-                    let u = path[j];
-                    let d = vpos(u).distance_m(&vpos(path[j + 1]));
+            for (i, &packets) in originated.iter().enumerate() {
+                let Some(route) = relays(i) else { continue };
+                let mut flow = packets;
+                for u in route {
                     let arriving = flow;
                     flow *= scale[u];
-                    spent[u] +=
-                        arriving * radio.rx_energy_j(bits) + flow * radio.tx_energy_j(bits, d);
+                    spent[u] += arriving * rx_j + flow * tx_j[u];
                     relay_hops += arriving;
                 }
                 delivered[i] = flow;
@@ -821,6 +823,7 @@ impl FleetSimulator {
                 originated_total[i] += originated[i];
                 delivered_total[i] += delivered[i];
                 demand_total[i] += demand[i];
+                prev_packets[i] = snap[i].packets_delivered;
             }
             audits.push(EpochAudit {
                 epoch: e,
@@ -832,19 +835,14 @@ impl FleetSimulator {
                 },
                 newly_browned,
                 rerouted,
-                unreachable_nodes: paths.iter().filter(|p| p.is_none()).count() as u32,
+                unreachable_nodes: hops[..n].iter().filter(|h| h.is_none()).count() as u32,
                 newly_stranded,
                 packets_originated: originated.iter().sum(),
                 packets_delivered: delivered.iter().sum(),
             });
 
-            prev_reachable = paths.iter().map(|p| p.is_some()).collect();
-            for i in 0..n {
-                prev_packets[i] = snap[i].packets_delivered;
-            }
             prev_browned = browned;
             last_headroom = headroom;
-            last_paths = paths;
             t_prev = t_end;
         }
 
@@ -873,7 +871,7 @@ impl FleetSimulator {
             .map(|i| NodeNetStats {
                 originated: originated_total[i],
                 delivered: delivered_total[i],
-                hops_to_sink: last_paths[i].as_ref().map(|p| p.len() - 1),
+                hops_to_sink: hops[i],
                 relay_demand_j: demand_total[i],
                 relay_spent_j: spent[i],
                 headroom_j: last_headroom[i],
@@ -903,7 +901,7 @@ impl FleetSimulator {
             first_death_s,
             dead_nodes,
             browned_out_nodes: prev_browned.iter().filter(|&&b| b).count() as u32,
-            unreachable_nodes: last_paths.iter().filter(|p| p.is_none()).count() as u32,
+            unreachable_nodes: hops[..n].iter().filter(|h| h.is_none()).count() as u32,
             residual_mean_j: residual_mean,
             residual_spread_j: residual_spread,
             min_brownout_margin_v,

@@ -606,6 +606,40 @@ impl Routes {
     pub fn hop_count(&self, i: usize) -> Option<usize> {
         self.path(i).ok().map(|p| p.len() - 1)
     }
+
+    /// [`Routes::hop_count`] of every vertex (`Some(0)` for the sink),
+    /// in one `O(n)` pass over the table: each next-hop chain is walked
+    /// only up to the first vertex already resolved. A chain that ends
+    /// without reaching the sink, or runs into itself, leaves every
+    /// vertex on it unreachable, exactly as [`Routes::path`] fails for
+    /// it — so walking a reachable vertex's chain always ends at the
+    /// sink within `n` hops.
+    pub(crate) fn hop_counts(&self) -> Vec<Option<usize>> {
+        let mut hops = vec![None; self.next_hop.len()];
+        let mut seen = vec![false; self.next_hop.len()];
+        hops[self.sink] = Some(0);
+        seen[self.sink] = true;
+        let mut chain = Vec::new();
+        for i in 0..self.next_hop.len() {
+            let mut v = i;
+            while !seen[v] {
+                seen[v] = true;
+                chain.push(v);
+                match self.next_hop[v] {
+                    Some(next) => v = next,
+                    None => break,
+                }
+            }
+            // `v` is resolved, or unresolved on this chain (a dead end
+            // or a loop), whose hop count stays `None`.
+            let mut h = hops[v];
+            while let Some(u) = chain.pop() {
+                h = h.map(|h| h + 1);
+                hops[u] = h;
+            }
+        }
+        hops
+    }
 }
 
 #[cfg(test)]
@@ -701,6 +735,40 @@ mod tests {
                 oracle.cost(v).map(f64::to_bits),
                 "vertex {v} cost"
             );
+        }
+    }
+
+    #[test]
+    fn hop_counts_match_path_walks_on_built_and_corrupt_tables() {
+        // A grid with a far island (24, 25) and blocked relays that cut
+        // off part of the grid.
+        let mut pts: Vec<Point> = (0..24)
+            .map(|i| Point::new((i % 6) as f64 * 8.0, (i / 6) as f64 * 8.0 + 1.0))
+            .collect();
+        pts.extend([Point::new(200.0, 200.0), Point::new(205.0, 200.0)]);
+        let t = Topology::new(pts, Point::new(20.0, -5.0), 12.0).unwrap();
+        let mut blocked = vec![false; 26];
+        for v in [6, 7, 8, 9, 10, 11] {
+            blocked[v] = true;
+        }
+        let energy = t
+            .energy_aware_routes(&RadioEnergyModel::typical(), 1024, &blocked)
+            .unwrap();
+        // Tables no router builds: a two-cycle (1 ↔ 2) feeding node 3,
+        // and a dead end at node 4 feeding node 5.
+        let sink = 6;
+        let corrupt = Routes {
+            sink,
+            next_hop: vec![Some(sink), Some(2), Some(1), Some(2), None, Some(4), None],
+            cost: vec![None; 7],
+        };
+        for r in [t.min_hop_routes(), energy, corrupt] {
+            let hops = r.hop_counts();
+            assert_eq!(hops.len(), r.next_hop.len());
+            for (v, &h) in hops.iter().enumerate() {
+                assert_eq!(h, r.hop_count(v), "vertex {v}");
+            }
+            assert!(hops.iter().any(Option::is_none));
         }
     }
 }

@@ -772,7 +772,13 @@ fn fleet_fingerprint(out: &FleetOutcome) -> u64 {
 /// with the sink at the centre. Nodes drain at different rates, so
 /// relays brown out in every epoch and route repair fires.
 fn drained_fleet_spec(n: usize) -> FleetSpec {
-    let side_m = (n as f64 / 0.025).sqrt();
+    seeded_fleet_spec(n, 0.025, (0.01, 0.02))
+}
+
+/// The drained fleet's node and seeds at `density` nodes/m², with
+/// storage drawn uniformly from `base_f + [0, span_f)` farads.
+fn seeded_fleet_spec(n: usize, density: f64, (base_f, span_f): (f64, f64)) -> FleetSpec {
+    let side_m = (n as f64 / density).sqrt();
     let positions = Placement::UniformRandom {
         n,
         width_m: side_m,
@@ -791,7 +797,7 @@ fn drained_fleet_spec(n: usize) -> FleetSpec {
     for (i, node) in spec.nodes.iter_mut().enumerate() {
         // A uniform draw in [0, 1) from the top 53 bits of a split seed.
         let u = (node_seed(0xC570, i) >> 11) as f64 / (1u64 << 53) as f64;
-        node.config.storage.capacitance = 0.01 + 0.02 * u;
+        node.config.storage.capacitance = base_f + span_f * u;
     }
     spec.fleet_seed = 0x5EED_0013;
     spec
@@ -824,6 +830,50 @@ fn multi_epoch_fleet_bits_are_pinned() {
                 got, want,
                 "{epochs} epochs, {dispatch:?}: fingerprint {got:#018x}"
             );
+        }
+    }
+}
+
+/// The drained fleet thinned to 0.015 nodes/m² with 4–24 mF storage: the
+/// graph has pockets that no route reaches, relays on thin bridges brown
+/// out, and energy-aware repair strands nodes that had a route. These
+/// are the accounting branches the drained fleet never reaches: there,
+/// no node is ever unreachable or stranded.
+fn sparse_fleet_spec(n: usize) -> FleetSpec {
+    seeded_fleet_spec(n, 0.015, (0.004, 0.02))
+}
+
+/// Pins every result bit of the sparse fleet under both routing
+/// policies, at 1 and 4 route epochs, to values captured when each
+/// epoch's accounting still materialised every node's route as a path
+/// vector. Unreachable and stranded nodes are asserted, so the pin
+/// cannot pass over those branches vacuously.
+#[test]
+fn sparse_fleet_bits_are_pinned() {
+    for (routing, epochs, want) in [
+        (RoutingPolicy::EnergyAware, 1usize, 0x96f3_882f_c819_610du64),
+        (RoutingPolicy::EnergyAware, 4, 0x117e_da48_f518_fc5d),
+        (RoutingPolicy::MinHop, 1, 0xc24e_baf9_0d48_3f2f),
+        (RoutingPolicy::MinHop, 4, 0xca9f_02f1_0829_1cbd),
+    ] {
+        let mut spec = sparse_fleet_spec(600);
+        spec.routing = routing;
+        spec.route_epochs = epochs;
+        let fleet = FleetSimulator::prepare(spec, 2).expect("valid fleet");
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
+            let label = format!("{routing:?}, {epochs} epochs, {dispatch:?}");
+            let out = fleet.run_with_dispatch(2, dispatch).expect("fleet runs");
+            let m = &out.metrics;
+            assert!(
+                m.unreachable_nodes > 0,
+                "{label}: nodes must be unreachable"
+            );
+            if routing == RoutingPolicy::EnergyAware && epochs > 1 {
+                let stranded: usize = m.epochs.iter().map(|a| a.newly_stranded.len()).sum();
+                assert!(stranded > 0, "{label}: repair must strand nodes");
+            }
+            let got = fleet_fingerprint(&out);
+            assert_eq!(got, want, "{label}: fingerprint {got:#018x}");
         }
     }
 }
