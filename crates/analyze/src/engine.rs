@@ -68,17 +68,21 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Scan problems (malformed/unused annotations, lex failures).
     pub problems: Vec<ScanProblem>,
-    /// Baseline entries whose debt has shrunk (or vanished): the check
-    /// still passes, but the baseline should be ratcheted down.
+    /// Baseline entries whose debt has shrunk (or vanished): they fail
+    /// the check until the baseline is ratcheted down, so an allowance
+    /// never keeps slack a new violation could hide in.
     pub stale_baseline: Vec<String>,
     /// Number of files scanned (rules applied).
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Whether the tree passes: no new findings and no scan problems.
+    /// Whether the tree passes: no new findings, no scan problems and
+    /// no stale baseline entries.
     pub fn is_clean(&self) -> bool {
-        self.problems.is_empty() && self.findings.iter().all(|f| f.status != FindingStatus::New)
+        self.problems.is_empty()
+            && self.stale_baseline.is_empty()
+            && self.findings.iter().all(|f| f.status != FindingStatus::New)
     }
 
     /// Counts by status: (new, baselined, suppressed).
@@ -153,7 +157,8 @@ impl Report {
             let _ = writeln!(
                 out,
                 "determinism contract: VIOLATED — fix the sites above, or (only with a \
-                 written justification) add `// lint:allow(<rule>): <reason>`"
+                 written justification) add `// lint:allow(<rule>): <reason>`; ratchet \
+                 stale baseline entries down with --update-baseline"
             );
         }
         out

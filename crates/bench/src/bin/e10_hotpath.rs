@@ -260,7 +260,7 @@ fn run(
     // --- 3. campaign wall-clock scaling -----------------------------
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::stationary_machine(campaign_duration_s),
+        Scenario::stationary_machine(campaign_duration_s).expect("valid duration"),
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )
     .expect("valid campaign");

@@ -44,7 +44,7 @@ use std::sync::Arc;
 pub fn flagship_campaign(duration_s: f64) -> Campaign {
     Campaign::standard(
         StandardFactors::default(),
-        Scenario::drifting_machine(duration_s),
+        Scenario::drifting_machine(duration_s).expect("valid duration"),
         vec![
             Indicator::PacketsPerHour,
             Indicator::BrownoutMarginV,
@@ -61,7 +61,7 @@ pub fn flagship_campaign(duration_s: f64) -> Campaign {
 pub fn flagship_ensemble(duration_s: f64) -> EnsembleCampaign {
     EnsembleCampaign::standard(
         StandardFactors::default(),
-        ScenarioEnsemble::factory_floor(duration_s),
+        ScenarioEnsemble::factory_floor(duration_s).expect("valid duration"),
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )
     .expect("flagship ensemble campaign is valid")
@@ -75,13 +75,20 @@ pub fn flagship_ensemble(duration_s: f64) -> EnsembleCampaign {
 /// normalised weight between them.
 pub fn e11_ensemble(duration_s: f64) -> ScenarioEnsemble {
     let mut entries: Vec<(Scenario, f64)> = ScenarioEnsemble::factory_floor(duration_s)
+        .expect("valid duration")
         .entries()
         .to_vec();
     // factory_floor weights sum to 1.0; adding 0.3 + 0.3 of raw weight
     // gives the two non-stationary environments 0.375 of the
     // normalised total.
-    entries.push((Scenario::fading_machine(duration_s), 0.3));
-    entries.push((Scenario::intermittent_machine(duration_s), 0.3));
+    entries.push((
+        Scenario::fading_machine(duration_s).expect("valid duration"),
+        0.3,
+    ));
+    entries.push((
+        Scenario::intermittent_machine(duration_s).expect("valid duration"),
+        0.3,
+    ));
     ScenarioEnsemble::new(entries).expect("static ensemble is valid")
 }
 
@@ -113,9 +120,18 @@ pub fn e11_factors(set: PolicyFactorSet) -> PolicyFactors {
 /// adaptive budget allocation should pay.
 pub fn e12_ensemble(duration_s: f64) -> ScenarioEnsemble {
     ScenarioEnsemble::new(vec![
-        (Scenario::stationary_machine(duration_s), 0.40),
-        (Scenario::fading_machine(duration_s), 0.35),
-        (Scenario::intermittent_machine(duration_s), 0.25),
+        (
+            Scenario::stationary_machine(duration_s).expect("valid duration"),
+            0.40,
+        ),
+        (
+            Scenario::fading_machine(duration_s).expect("valid duration"),
+            0.35,
+        ),
+        (
+            Scenario::intermittent_machine(duration_s).expect("valid duration"),
+            0.25,
+        ),
     ])
     .expect("static ensemble is valid")
 }

@@ -435,7 +435,7 @@ impl Campaign {
     /// # fn main() -> Result<(), ehsim_core::CoreError> {
     /// let campaign = Campaign::standard(
     ///     StandardFactors::default(),
-    ///     Scenario::stationary_machine(60.0),
+    ///     Scenario::stationary_machine(60.0)?,
     ///     vec![Indicator::PacketsPerHour],
     /// )?;
     /// let design = full_factorial_2k(4).map_err(ehsim_core::CoreError::from)?;
@@ -824,7 +824,7 @@ mod tests {
     fn tiny_campaign() -> Campaign {
         Campaign::standard(
             StandardFactors::default(),
-            Scenario::stationary_machine(300.0),
+            Scenario::stationary_machine(300.0).unwrap(),
             vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
         )
         .unwrap()
@@ -896,7 +896,7 @@ mod tests {
     fn adaptive_campaign_runs_a_design() {
         let c = Campaign::adaptive(
             PolicyFactors::standard(PolicyFactorSet::default_threshold()),
-            Scenario::stationary_machine(120.0),
+            Scenario::stationary_machine(120.0).unwrap(),
             vec![Indicator::PacketsPerHour],
         )
         .unwrap();
@@ -908,8 +908,8 @@ mod tests {
         let ec = EnsembleCampaign::adaptive(
             PolicyFactors::standard(PolicyFactorSet::default_energy_aware()),
             ScenarioEnsemble::uniform(vec![
-                Scenario::stationary_machine(120.0),
-                Scenario::fading_machine(120.0),
+                Scenario::stationary_machine(120.0).unwrap(),
+                Scenario::fading_machine(120.0).unwrap(),
             ])
             .unwrap(),
             vec![Indicator::PacketsPerHour],
@@ -952,14 +952,14 @@ mod tests {
     #[test]
     fn no_indicators_rejected() {
         let f = StandardFactors::default();
-        let r = Campaign::standard(f, Scenario::stationary_machine(60.0), vec![]);
+        let r = Campaign::standard(f, Scenario::stationary_machine(60.0).unwrap(), vec![]);
         assert!(r.is_err());
     }
 
     fn tiny_ensemble_campaign() -> EnsembleCampaign {
         let ensemble = ScenarioEnsemble::new(vec![
-            (Scenario::stationary_machine(120.0), 0.7),
-            (Scenario::drifting_machine(120.0), 0.3),
+            (Scenario::stationary_machine(120.0).unwrap(), 0.7),
+            (Scenario::drifting_machine(120.0).unwrap(), 0.3),
         ])
         .unwrap();
         EnsembleCampaign::standard(
@@ -1036,7 +1036,8 @@ mod tests {
         assert!(ec.campaign_for(5).is_err());
         assert!(ec.run_design(&full_factorial_2k(3).unwrap(), 2).is_err());
         assert!(!format!("{ec:?}").is_empty());
-        let ensemble = ScenarioEnsemble::uniform(vec![Scenario::stationary_machine(60.0)]).unwrap();
+        let ensemble =
+            ScenarioEnsemble::uniform(vec![Scenario::stationary_machine(60.0).unwrap()]).unwrap();
         assert!(EnsembleCampaign::standard(StandardFactors::default(), ensemble, vec![]).is_err());
     }
 }

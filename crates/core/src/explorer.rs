@@ -192,7 +192,7 @@ mod tests {
     fn surrogates() -> SurrogateSet {
         let campaign = Campaign::standard(
             StandardFactors::default(),
-            Scenario::stationary_machine(300.0),
+            Scenario::stationary_machine(300.0).unwrap(),
             vec![Indicator::PacketsPerHour],
         )
         .unwrap();

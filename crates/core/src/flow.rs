@@ -718,7 +718,7 @@ mod tests {
     fn small_flow_campaign() -> Campaign {
         Campaign::standard(
             StandardFactors::default(),
-            Scenario::stationary_machine(300.0),
+            Scenario::stationary_machine(300.0).unwrap(),
             vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
         )
         .unwrap()
@@ -798,8 +798,8 @@ mod tests {
 
     fn small_ensemble_campaign() -> EnsembleCampaign {
         let ensemble = crate::scenario::ScenarioEnsemble::new(vec![
-            (Scenario::stationary_machine(200.0), 0.6),
-            (Scenario::drifting_machine(200.0), 0.4),
+            (Scenario::stationary_machine(200.0).unwrap(), 0.6),
+            (Scenario::drifting_machine(200.0).unwrap(), 0.4),
         ])
         .unwrap();
         EnsembleCampaign::standard(

@@ -44,7 +44,7 @@
 //! # fn main() -> Result<(), ehsim_core::CoreError> {
 //! let campaign = Campaign::standard(
 //!     StandardFactors::default(),
-//!     Scenario::drifting_machine(3600.0),
+//!     Scenario::drifting_machine(3600.0)?,
 //!     vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
 //! )?;
 //! let flow = DoeFlow::new(DesignChoice::FaceCenteredCcd { center_points: 3 });
@@ -151,6 +151,13 @@ impl From<ehsim_net::NetError> for CoreError {
 impl From<ehsim_doe::DoeError> for CoreError {
     fn from(e: ehsim_doe::DoeError) -> Self {
         CoreError::Doe(e)
+    }
+}
+
+impl From<ehsim_vibration::VibrationError> for CoreError {
+    fn from(e: ehsim_vibration::VibrationError) -> Self {
+        let ehsim_vibration::VibrationError::InvalidArgument { message } = e;
+        CoreError::InvalidArgument { message }
     }
 }
 

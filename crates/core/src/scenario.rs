@@ -45,11 +45,7 @@ impl Scenario {
         duration_s: f64,
         label: impl Into<String>,
     ) -> Result<Self> {
-        if !(duration_s > 0.0) || !duration_s.is_finite() {
-            return Err(CoreError::invalid(format!(
-                "duration must be positive and finite, got {duration_s}"
-            )));
-        }
+        check_duration(duration_s)?;
         Ok(Scenario {
             source,
             duration_s,
@@ -58,17 +54,23 @@ impl Scenario {
     }
 
     /// Stationary machine vibration at 64 Hz, 0.9 m/s².
-    pub fn stationary_machine(duration_s: f64) -> Self {
-        Scenario {
-            source: Arc::new(Sine::new(0.9, 64.0).expect("valid parameters")),
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidArgument`] for a duration that is not
+    /// positive and finite, as for every fixture below.
+    pub fn stationary_machine(duration_s: f64) -> Result<Self> {
+        Scenario::new(
+            Arc::new(Sine::new(0.9, 64.0)?),
             duration_s,
-            label: "stationary-64Hz".into(),
-        }
+            "stationary-64Hz",
+        )
     }
 
     /// A machine whose speed ramps 58 → 70 Hz across the run — the
     /// workload that makes the tuning controller earn its keep.
-    pub fn drifting_machine(duration_s: f64) -> Self {
+    pub fn drifting_machine(duration_s: f64) -> Result<Self> {
+        check_duration(duration_s)?;
         let schedule = DriftSchedule::new(
             vec![
                 (0.0, 58.0),
@@ -77,23 +79,15 @@ impl Scenario {
                 (duration_s, 70.0),
             ],
             0.9,
-        )
-        .expect("valid schedule");
-        Scenario {
-            source: Arc::new(schedule),
-            duration_s,
-            label: "drifting-58-70Hz".into(),
-        }
+        )?;
+        Scenario::new(Arc::new(schedule), duration_s, "drifting-58-70Hz")
     }
 
     /// Harmonic-rich industrial spectrum: 62 Hz fundamental plus
     /// harmonics.
-    pub fn industrial_spectrum(duration_s: f64) -> Self {
-        Scenario {
-            source: Arc::new(MultiTone::machinery(62.0, 0.8, 3).expect("valid parameters")),
-            duration_s,
-            label: "industrial-62Hz".into(),
-        }
+    pub fn industrial_spectrum(duration_s: f64) -> Result<Self> {
+        let source = MultiTone::machinery(62.0, 0.8, 3)?;
+        Scenario::new(Arc::new(source), duration_s, "industrial-62Hz")
     }
 
     /// A machine whose vibration *level* fades and recovers while its
@@ -102,7 +96,8 @@ impl Scenario {
     /// Frequency retuning cannot help here — the excitation itself
     /// weakens — which is what makes this the canonical workload for
     /// *runtime* energy-management policies.
-    pub fn fading_machine(duration_s: f64) -> Self {
+    pub fn fading_machine(duration_s: f64) -> Result<Self> {
+        check_duration(duration_s)?;
         let schedule = AmplitudeSchedule::new(
             vec![
                 (0.0, 0.9),
@@ -113,13 +108,8 @@ impl Scenario {
                 (duration_s, 0.9),
             ],
             64.0,
-        )
-        .expect("valid schedule");
-        Scenario {
-            source: Arc::new(schedule),
-            duration_s,
-            label: "fading-64Hz".into(),
-        }
+        )?;
+        Scenario::new(Arc::new(schedule), duration_s, "fading-64Hz")
     }
 
     /// Intermittent machinery: long on/off blocks (35 % duty over four
@@ -127,19 +117,15 @@ impl Scenario {
     /// off blocks nothing is harvested at all, so a tuning that merely
     /// maximises average packets power-cycles the node; surviving the
     /// gaps takes either oversized storage or an adaptive policy.
-    pub fn intermittent_machine(duration_s: f64) -> Self {
+    pub fn intermittent_machine(duration_s: f64) -> Result<Self> {
+        check_duration(duration_s)?;
         let burst = DutyCycled::new(
-            Box::new(MultiTone::machinery(64.0, 0.9, 3).expect("valid parameters")),
+            Box::new(MultiTone::machinery(64.0, 0.9, 3)?),
             duration_s / 4.0,
             0.35,
             duration_s / 80.0,
-        )
-        .expect("valid duty cycle");
-        Scenario {
-            source: Arc::new(burst),
-            duration_s,
-            label: "intermittent-64Hz".into(),
-        }
+        )?;
+        Scenario::new(Arc::new(burst), duration_s, "intermittent-64Hz")
     }
 
     /// The excitation source.
@@ -156,6 +142,17 @@ impl Scenario {
     pub fn label(&self) -> &str {
         &self.label
     }
+}
+
+/// The duration guard of [`Scenario::new`] and every fixture: positive
+/// and finite.
+fn check_duration(duration_s: f64) -> Result<()> {
+    if !(duration_s > 0.0) || !duration_s.is_finite() {
+        return Err(CoreError::invalid(format!(
+            "duration must be positive and finite, got {duration_s}"
+        )));
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for Scenario {
@@ -182,8 +179,8 @@ impl std::fmt::Debug for Scenario {
 ///
 /// # fn main() -> Result<(), ehsim_core::CoreError> {
 /// let ensemble = ScenarioEnsemble::new(vec![
-///     (Scenario::stationary_machine(600.0), 0.6),
-///     (Scenario::drifting_machine(600.0), 0.4),
+///     (Scenario::stationary_machine(600.0)?, 0.6),
+///     (Scenario::drifting_machine(600.0)?, 0.4),
 /// ])?;
 /// assert_eq!(ensemble.len(), 2);
 /// assert_eq!(ensemble.labels(), vec!["stationary-64Hz", "drifting-58-70Hz"]);
@@ -233,32 +230,40 @@ impl ScenarioEnsemble {
     /// duty-cycled machinery bursts, resonance-filtered broadband
     /// noise, and a shock train riding on a weak hum. All stochastic
     /// members are seeded, so the ensemble is fully reproducible.
-    pub fn factory_floor(duration_s: f64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidArgument`] for a duration that is not
+    /// positive and finite.
+    pub fn factory_floor(duration_s: f64) -> Result<Self> {
+        check_duration(duration_s)?;
         let duty = DutyCycled::new(
-            Box::new(MultiTone::machinery(61.0, 0.9, 3).expect("valid parameters")),
+            Box::new(MultiTone::machinery(61.0, 0.9, 3)?),
             duration_s / 6.0,
             0.7,
             duration_s / 120.0,
-        )
-        .expect("valid duty cycle");
-        let noise =
-            FilteredNoise::new(63.0, 10.0, (40.0, 90.0), 0.7, 48, 20).expect("valid parameters");
+        )?;
+        let noise = FilteredNoise::new(63.0, 10.0, (40.0, 90.0), 0.7, 48, 20)?;
         let shocks = Composite::new(vec![
-            Box::new(Sine::new(0.5, 59.0).expect("valid parameters")),
-            Box::new(ShockTrain::new(8.0, 110.0, 4.0, 0.12, 0.2, 21).expect("valid parameters")),
-        ])
-        .expect("non-empty composite");
-        let mk = |src: Arc<dyn VibrationSource>, label: &str| {
-            Scenario::new(src, duration_s, label).expect("positive duration")
-        };
+            Box::new(Sine::new(0.5, 59.0)?),
+            Box::new(ShockTrain::new(8.0, 110.0, 4.0, 0.12, 0.2, 21)?),
+        ])?;
         ScenarioEnsemble::new(vec![
-            (Scenario::stationary_machine(duration_s), 0.30),
-            (Scenario::drifting_machine(duration_s), 0.25),
-            (mk(Arc::new(duty), "duty-cycled-61Hz"), 0.20),
-            (mk(Arc::new(noise), "filtered-noise-63Hz"), 0.15),
-            (mk(Arc::new(shocks), "shock-train-110Hz"), 0.10),
+            (Scenario::stationary_machine(duration_s)?, 0.30),
+            (Scenario::drifting_machine(duration_s)?, 0.25),
+            (
+                Scenario::new(Arc::new(duty), duration_s, "duty-cycled-61Hz")?,
+                0.20,
+            ),
+            (
+                Scenario::new(Arc::new(noise), duration_s, "filtered-noise-63Hz")?,
+                0.15,
+            ),
+            (
+                Scenario::new(Arc::new(shocks), duration_s, "shock-train-110Hz")?,
+                0.10,
+            ),
         ])
-        .expect("static ensemble is valid")
     }
 
     /// Number of scenarios.
@@ -299,13 +304,13 @@ mod tests {
 
     #[test]
     fn builders() {
-        let s = Scenario::stationary_machine(600.0);
+        let s = Scenario::stationary_machine(600.0).unwrap();
         assert_eq!(s.duration_s(), 600.0);
         assert!((s.source().envelope(0.0).freq_hz - 64.0).abs() < 1e-9);
-        let d = Scenario::drifting_machine(1000.0);
+        let d = Scenario::drifting_machine(1000.0).unwrap();
         assert!((d.source().envelope(0.0).freq_hz - 58.0).abs() < 1e-9);
         assert!((d.source().envelope(1000.0).freq_hz - 70.0).abs() < 1e-9);
-        let i = Scenario::industrial_spectrum(60.0);
+        let i = Scenario::industrial_spectrum(60.0).unwrap();
         assert_eq!(i.source().envelope(0.0).freq_hz, 62.0);
         assert!(!format!("{i:?}").is_empty());
     }
@@ -321,8 +326,35 @@ mod tests {
     }
 
     #[test]
+    fn fixtures_reject_bad_durations() {
+        type Fixture = fn(f64) -> Result<Scenario>;
+        let fixtures: [(&str, Fixture); 5] = [
+            ("stationary", Scenario::stationary_machine),
+            ("drifting", Scenario::drifting_machine),
+            ("industrial", Scenario::industrial_spectrum),
+            ("fading", Scenario::fading_machine),
+            ("intermittent", Scenario::intermittent_machine),
+        ];
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (name, fixture) in fixtures {
+                assert!(
+                    matches!(fixture(d), Err(CoreError::InvalidArgument { .. })),
+                    "{name} at {d}"
+                );
+            }
+            assert!(
+                matches!(
+                    ScenarioEnsemble::factory_floor(d),
+                    Err(CoreError::InvalidArgument { .. })
+                ),
+                "factory_floor at {d}"
+            );
+        }
+    }
+
+    #[test]
     fn non_stationary_fixtures() {
-        let f = Scenario::fading_machine(1000.0);
+        let f = Scenario::fading_machine(1000.0).unwrap();
         assert_eq!(f.label(), "fading-64Hz");
         // Full level at the start, faded in the middle, recovered at
         // the end; the frequency never moves.
@@ -331,7 +363,7 @@ mod tests {
         assert!((f.source().envelope(1000.0).amp - 0.9).abs() < 1e-12);
         assert_eq!(f.source().envelope(500.0).freq_hz, 64.0);
 
-        let i = Scenario::intermittent_machine(1000.0);
+        let i = Scenario::intermittent_machine(1000.0).unwrap();
         assert_eq!(i.label(), "intermittent-64Hz");
         // On at the middle of the first burst, fully off mid-gap.
         assert!(i.source().envelope(40.0).amp > 0.5);
@@ -341,8 +373,8 @@ mod tests {
     #[test]
     fn ensemble_weights_normalise() {
         let e = ScenarioEnsemble::new(vec![
-            (Scenario::stationary_machine(60.0), 3.0),
-            (Scenario::drifting_machine(60.0), 1.0),
+            (Scenario::stationary_machine(60.0).unwrap(), 3.0),
+            (Scenario::drifting_machine(60.0).unwrap(), 1.0),
         ])
         .unwrap();
         let w = e.weights();
@@ -356,22 +388,27 @@ mod tests {
     #[test]
     fn ensemble_uniform_and_validation() {
         let u = ScenarioEnsemble::uniform(vec![
-            Scenario::stationary_machine(60.0),
-            Scenario::industrial_spectrum(60.0),
+            Scenario::stationary_machine(60.0).unwrap(),
+            Scenario::industrial_spectrum(60.0).unwrap(),
         ])
         .unwrap();
         assert!((u.weights()[0] - 0.5).abs() < 1e-12);
         assert!(ScenarioEnsemble::new(vec![]).is_err());
-        assert!(ScenarioEnsemble::new(vec![(Scenario::stationary_machine(60.0), 0.0)]).is_err());
         assert!(
-            ScenarioEnsemble::new(vec![(Scenario::stationary_machine(60.0), f64::NAN)]).is_err()
+            ScenarioEnsemble::new(vec![(Scenario::stationary_machine(60.0).unwrap(), 0.0)])
+                .is_err()
         );
+        assert!(ScenarioEnsemble::new(vec![(
+            Scenario::stationary_machine(60.0).unwrap(),
+            f64::NAN
+        )])
+        .is_err());
     }
 
     #[test]
     fn factory_floor_is_diverse_and_reproducible() {
-        let a = ScenarioEnsemble::factory_floor(300.0);
-        let b = ScenarioEnsemble::factory_floor(300.0);
+        let a = ScenarioEnsemble::factory_floor(300.0).unwrap();
+        let b = ScenarioEnsemble::factory_floor(300.0).unwrap();
         assert_eq!(a.len(), 5);
         assert!((a.weights().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // Labels are unique.

@@ -125,7 +125,7 @@ mod tests {
     fn surrogates() -> SurrogateSet {
         let campaign = Campaign::standard(
             StandardFactors::default(),
-            Scenario::stationary_machine(600.0),
+            Scenario::stationary_machine(600.0).unwrap(),
             vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
         )
         .expect("campaign");

@@ -91,8 +91,8 @@ impl EnsembleResponse {
 /// let campaign = EnsembleCampaign::standard(
 ///     StandardFactors::default(),
 ///     ScenarioEnsemble::uniform(vec![
-///         Scenario::stationary_machine(60.0),
-///         Scenario::drifting_machine(60.0),
+///         Scenario::stationary_machine(60.0)?,
+///         Scenario::drifting_machine(60.0)?,
 ///     ])?,
 ///     vec![Indicator::PacketsPerHour],
 /// )?;
@@ -373,8 +373,8 @@ impl SequentialOutcome {
 /// let campaign = EnsembleCampaign::adaptive(
 ///     PolicyFactors::standard(PolicyFactorSet::Static),
 ///     ScenarioEnsemble::uniform(vec![
-///         Scenario::stationary_machine(60.0),
-///         Scenario::fading_machine(60.0),
+///         Scenario::stationary_machine(60.0)?,
+///         Scenario::fading_machine(60.0)?,
 ///     ])?,
 ///     vec![Indicator::PacketsPerHour],
 /// )?;
@@ -536,8 +536,8 @@ mod tests {
 
     fn tiny_ensemble(duration_s: f64) -> ScenarioEnsemble {
         ScenarioEnsemble::new(vec![
-            (Scenario::stationary_machine(duration_s), 0.7),
-            (Scenario::fading_machine(duration_s), 0.3),
+            (Scenario::stationary_machine(duration_s).unwrap(), 0.7),
+            (Scenario::fading_machine(duration_s).unwrap(), 0.3),
         ])
         .unwrap()
     }

@@ -106,7 +106,7 @@ mod tests {
     fn surrogates() -> SurrogateSet {
         let campaign = Campaign::standard(
             StandardFactors::default(),
-            Scenario::stationary_machine(300.0),
+            Scenario::stationary_machine(300.0).unwrap(),
             vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
         )
         .unwrap();

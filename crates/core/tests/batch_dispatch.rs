@@ -47,7 +47,7 @@ fn assert_rows_bitwise_eq(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
 fn standard_campaign_matches_per_point_oracle_for_every_thread_count() {
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::stationary_machine(600.0),
+        Scenario::stationary_machine(600.0).unwrap(),
         indicators(),
     )
     .unwrap();
@@ -72,7 +72,7 @@ fn standard_campaign_matches_per_point_oracle_for_every_thread_count() {
 fn adaptive_policy_campaign_matches_per_point_oracle() {
     let campaign = Campaign::adaptive(
         PolicyFactors::standard(PolicyFactorSet::default_energy_aware()),
-        Scenario::drifting_machine(600.0),
+        Scenario::drifting_machine(600.0).unwrap(),
         indicators(),
     )
     .unwrap();
@@ -95,8 +95,8 @@ fn adaptive_policy_campaign_matches_per_point_oracle() {
 #[test]
 fn ensemble_campaign_matches_oracle_and_is_thread_count_invariant() {
     let ensemble = ScenarioEnsemble::uniform(vec![
-        Scenario::stationary_machine(600.0),
-        Scenario::drifting_machine(900.0),
+        Scenario::stationary_machine(600.0).unwrap(),
+        Scenario::drifting_machine(900.0).unwrap(),
     ])
     .unwrap();
     let campaign =
@@ -153,7 +153,7 @@ fn mixed_tick_design_matches_oracle() {
     let campaign = Campaign::new(
         space.clone(),
         configure.clone(),
-        Scenario::stationary_machine(600.0),
+        Scenario::stationary_machine(600.0).unwrap(),
         indicators(),
     )
     .unwrap();
@@ -173,8 +173,8 @@ fn mixed_tick_design_matches_oracle() {
     }
 
     let ensemble = ScenarioEnsemble::uniform(vec![
-        Scenario::stationary_machine(600.0),
-        Scenario::drifting_machine(300.0),
+        Scenario::stationary_machine(600.0).unwrap(),
+        Scenario::drifting_machine(300.0).unwrap(),
     ])
     .unwrap();
     let campaign = EnsembleCampaign::new(space, configure, ensemble, indicators()).unwrap();

@@ -57,14 +57,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(&self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -166,7 +158,6 @@ mod tests {
         let z = Complex::new(0.0, 2.0);
         assert_eq!(z.abs(), 2.0);
         assert!((z.arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert_eq!(z.conj(), Complex::new(0.0, -2.0));
         assert_eq!(Complex::i() * Complex::i(), Complex::real(-1.0));
     }
 

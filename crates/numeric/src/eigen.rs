@@ -6,6 +6,7 @@
 
 use crate::matrix::Matrix;
 use crate::{NumericError, Result};
+use std::cmp::Ordering;
 
 /// Eigenvalues and eigenvectors of a symmetric matrix.
 #[derive(Debug, Clone)]
@@ -26,8 +27,10 @@ pub struct SymmetricEigen {
 /// # Errors
 ///
 /// * [`NumericError::Dimension`] if `a` is not square.
+/// * [`NumericError::InvalidArgument`] if `a` holds a NaN or infinity.
 /// * [`NumericError::NoConvergence`] if off-diagonal mass does not
-///   vanish in 100 sweeps (practically impossible for symmetric input).
+///   vanish in 100 sweeps (practically impossible for symmetric input),
+///   or if an input near `f64::MAX` overflows the rotations into NaN.
 ///
 /// # Example
 ///
@@ -47,6 +50,11 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
         return Err(NumericError::dimension(
             "square matrix",
             format!("{}x{}", a.rows(), a.cols()),
+        ));
+    }
+    if !a.is_finite() {
+        return Err(NumericError::invalid(
+            "eigendecomposition of a non-finite matrix",
         ));
     }
     let n = a.rows();
@@ -109,19 +117,16 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
             }
         }
     }
-    if off(&m).sqrt() >= 1e-10 * scale {
+    if off(&m).sqrt() >= 1e-10 * scale || (0..n).any(|i| m[(i, i)].is_nan()) {
         return Err(NumericError::NoConvergence {
             routine: "jacobi eigen",
         });
     }
 
-    // Sort ascending by eigenvalue.
+    // Sort ascending by eigenvalue; no diagonal entry is NaN, so every
+    // pair compares.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| {
-        m[(i, i)]
-            .partial_cmp(&m[(j, j)])
-            .expect("finite eigenvalues")
-    });
+    order.sort_by(|&i, &j| m[(i, i)].partial_cmp(&m[(j, j)]).unwrap_or(Ordering::Equal));
     let values: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
     let vectors = Matrix::from_fn(n, n, |i, j| v[(i, order[j])]);
     Ok(SymmetricEigen { values, vectors })
@@ -172,6 +177,33 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         let e = symmetric_eigen(&a).unwrap();
         assert!(e.values[0] < 0.0 && e.values[1] > 0.0);
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for a in [
+                Matrix::from_rows(&[&[1.0, bad], &[bad, 2.0]]).unwrap(),
+                Matrix::from_rows(&[&[bad, 0.0], &[0.0, 1.0]]).unwrap(),
+            ] {
+                assert!(matches!(
+                    symmetric_eigen(&a),
+                    Err(NumericError::InvalidArgument { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_to_nan_is_no_convergence() {
+        // Finite, but symmetrising overflows to ±∞ and the first rotation
+        // turns the diagonal into NaN.
+        let big = f64::MAX;
+        let a = Matrix::from_rows(&[&[big, big], &[big, -big]]).unwrap();
+        assert!(matches!(
+            symmetric_eigen(&a),
+            Err(NumericError::NoConvergence { .. })
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Piecewise-linear interpolation tables.
 //!
-//! Used for the tuning-frequency-vs-actuator-position curve, converter
-//! efficiency maps, and the harvester's calibrated power map.
+//! The circuit crate's piecewise-linear source waveform
+//! (`ehsim_circuit::waveform`) samples one.
 
 use crate::{NumericError, Result};
 
@@ -88,76 +88,33 @@ impl LinearTable {
         self.xs.is_empty()
     }
 
-    /// Knot positions.
-    pub fn knots(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Knot values.
-    pub fn values(&self) -> &[f64] {
-        &self.ys
-    }
-
     /// Domain `(min, max)` of the knots.
     pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().expect("non-empty"))
+        (self.xs[0], self.xs[self.xs.len() - 1])
     }
 
-    /// Evaluates the table at `x`, clamping outside the knot range.
+    /// Evaluates the table at `x`, clamping outside the knot range; NaN
+    /// for a NaN `x`.
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.xs.len();
+        if x.is_nan() {
+            return f64::NAN;
+        }
         if x <= self.xs[0] {
             return self.ys[0];
         }
         if x >= self.xs[n - 1] {
             return self.ys[n - 1];
         }
-        let idx = match self
-            .xs
-            .binary_search_by(|probe| probe.partial_cmp(&x).expect("finite knots"))
-        {
-            Ok(i) => return self.ys[i],
-            Err(i) => i,
-        };
+        // First knot at or above `x`: `xs[0] < x < xs[n - 1]`, so `idx`
+        // lies in `1..n`.
+        let idx = self.xs.partition_point(|&k| k < x);
+        if self.xs[idx] == x {
+            return self.ys[idx];
+        }
         let (x0, x1) = (self.xs[idx - 1], self.xs[idx]);
         let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-
-    /// Inverse lookup: finds `x` with `eval(x) == y` assuming the values
-    /// are monotonically increasing.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumericError::InvalidArgument`] if the table values are not
-    ///   non-decreasing or `y` lies outside the value range.
-    pub fn eval_inverse(&self, y: f64) -> Result<f64> {
-        for w in self.ys.windows(2) {
-            if w[0] > w[1] {
-                return Err(NumericError::invalid(
-                    "inverse lookup requires non-decreasing values",
-                ));
-            }
-        }
-        let n = self.ys.len();
-        if y < self.ys[0] || y > self.ys[n - 1] {
-            return Err(NumericError::invalid(format!(
-                "value {y} outside table range [{}, {}]",
-                self.ys[0],
-                self.ys[n - 1]
-            )));
-        }
-        for i in 1..n {
-            if y <= self.ys[i] {
-                let (y0, y1) = (self.ys[i - 1], self.ys[i]);
-                let (x0, x1) = (self.xs[i - 1], self.xs[i]);
-                if y1 == y0 {
-                    return Ok(x0);
-                }
-                return Ok(x0 + (x1 - x0) * (y - y0) / (y1 - y0));
-            }
-        }
-        Ok(*self.xs.last().expect("non-empty"))
     }
 }
 
@@ -202,18 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn inverse_lookup() {
-        let t = LinearTable::new(vec![0.0, 1.0, 2.0], vec![10.0, 20.0, 40.0]).unwrap();
-        assert!((t.eval_inverse(15.0).unwrap() - 0.5).abs() < 1e-12);
-        assert!((t.eval_inverse(30.0).unwrap() - 1.5).abs() < 1e-12);
-        assert!(t.eval_inverse(5.0).is_err());
-        assert!(t.eval_inverse(50.0).is_err());
-    }
-
-    #[test]
-    fn inverse_rejects_non_monotone() {
-        let t = LinearTable::new(vec![0.0, 1.0, 2.0], vec![0.0, 5.0, 3.0]).unwrap();
-        assert!(t.eval_inverse(2.0).is_err());
+    fn nan_evaluates_to_nan() {
+        let t = LinearTable::new(vec![0.0, 1.0, 3.0], vec![1.0, -1.0, 5.0]).unwrap();
+        assert!(t.eval(f64::NAN).is_nan());
     }
 
     #[test]

@@ -1,22 +1,26 @@
 //! Numerical substrate for the `ehsim` workspace.
 //!
-//! This crate provides, from scratch, every numerical routine the rest of
-//! the workspace relies on:
+//! This crate provides, from scratch, the numerical routines the rest of
+//! the workspace calls, and nothing else:
 //!
-//! * dense linear algebra — [`Matrix`], [`Lu`], [`Qr`], [`Cholesky`];
-//! * the matrix exponential ([`expm()`]) used by the explicit linearized
-//!   state-space circuit engine;
-//! * ODE integrators ([`ode`]) for reference mechanical simulations;
-//! * scalar root finding ([`rootfind`]);
-//! * univariate polynomials ([`poly`]) and piecewise-linear tables
-//!   ([`interp`]);
-//! * probability distributions and special functions ([`stats`]) needed
-//!   by the ANOVA/F-test machinery of the DoE crate.
+//! * the circuit engines (`ehsim-circuit`) factor their MNA systems with
+//!   [`Matrix`] and [`Lu`], discretise the linearized state-space engine
+//!   with [`expm()`] and [`expm::discretize_zoh`], and sample
+//!   piecewise-linear sources from a [`LinearTable`];
+//! * the harvester, power, node and circuit crates do their phasor
+//!   arithmetic in [`Complex`];
+//! * the DoE crate (`ehsim-doe`) fits response surfaces with [`Matrix`],
+//!   [`Qr`] and [`Lu`], reads the canonical analysis off
+//!   [`eigen::symmetric_eigen`], and builds coefficient t-tests and ANOVA
+//!   tables from [`stats::StudentT`] and [`stats::FisherF`], whose
+//!   quantiles invert the CDF with [`rootfind::brent`];
+//! * the core crate's design-space explorer grids its surfaces in a
+//!   [`Matrix`].
 //!
 //! No external numerical dependencies are used; the implementations follow
 //! the classic algorithms (partial-pivoting LU, Householder QR, Padé
-//! scaling-and-squaring `expm`, embedded Runge–Kutta–Fehlberg stepping,
-//! Lanczos log-gamma, continued-fraction incomplete beta).
+//! scaling-and-squaring `expm`, cyclic Jacobi, Lanczos log-gamma,
+//! continued-fraction incomplete beta).
 //!
 //! # Example
 //!
@@ -35,28 +39,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cholesky;
 pub mod complex;
 pub mod eigen;
 pub mod expm;
 pub mod interp;
 pub mod lu;
 pub mod matrix;
-pub mod ode;
-pub mod poly;
 pub mod qr;
 pub mod rootfind;
 pub mod stats;
-pub mod vector;
 
-pub use cholesky::Cholesky;
 pub use complex::Complex;
 pub use expm::expm;
 pub use interp::LinearTable;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use ode::{FnSystem, OdeSystem, Rk4, Rkf45, Trajectory};
-pub use poly::Polynomial;
 pub use qr::Qr;
 
 use std::error::Error;
@@ -67,9 +64,6 @@ use std::fmt;
 pub enum NumericError {
     /// A matrix factorisation encountered a (numerically) singular matrix.
     Singular,
-    /// A Cholesky factorisation was attempted on a matrix that is not
-    /// symmetric positive definite.
-    NotPositiveDefinite,
     /// Operand dimensions are incompatible.
     Dimension {
         /// Human-readable description of the expected shape.
@@ -110,9 +104,6 @@ impl fmt::Display for NumericError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NumericError::Singular => write!(f, "matrix is singular to working precision"),
-            NumericError::NotPositiveDefinite => {
-                write!(f, "matrix is not symmetric positive definite")
-            }
             NumericError::Dimension { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
@@ -139,7 +130,6 @@ mod tests {
     fn error_display_is_never_empty() {
         let errors = [
             NumericError::Singular,
-            NumericError::NotPositiveDefinite,
             NumericError::dimension("3x3", "2x3"),
             NumericError::NoConvergence { routine: "brent" },
             NumericError::invalid("x must be positive"),

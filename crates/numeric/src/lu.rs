@@ -209,9 +209,12 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 mod tests {
     use super::*;
 
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).fold(0.0, |m, (x, y)| m.max((x - y).abs()))
+    }
+
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x).unwrap();
-        crate::vector::max_abs_diff(&ax, b)
+        max_abs_diff(&a.matvec(x).unwrap(), b)
     }
 
     #[test]
@@ -294,6 +297,6 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 3.0).collect();
         let b = a.matvec(&x_true).unwrap();
         let x = solve(&a, &b).unwrap();
-        assert!(crate::vector::max_abs_diff(&x, &x_true) < 1e-9);
+        assert!(max_abs_diff(&x, &x_true) < 1e-9);
     }
 }

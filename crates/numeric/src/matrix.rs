@@ -8,7 +8,7 @@
 
 use crate::{NumericError, Result};
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// A dense row-major matrix of `f64` values.
 ///
@@ -39,15 +39,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a `rows x cols` matrix with every entry set to `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -127,15 +118,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a single-column matrix from a slice.
-    pub fn column(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -159,16 +141,6 @@ impl Matrix {
     /// Borrow of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable borrow of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow of row `i` as a slice.
@@ -296,13 +268,6 @@ impl Matrix {
             .fold(0.0, f64::max)
     }
 
-    /// 1-norm (maximum absolute column sum).
-    pub fn norm_one(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
     /// Maximum absolute entry.
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
@@ -330,47 +295,6 @@ impl Matrix {
             .iter()
             .zip(other.data.iter())
             .fold(0.0, |m, (a, b)| m.max((a - b).abs())))
-    }
-
-    /// Stacks `self` above `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Dimension`] if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(NumericError::dimension(
-                format!("{} columns", self.cols),
-                format!("{} columns", other.cols),
-            ));
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Places `self` left of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Dimension`] if the row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(NumericError::dimension(
-                format!("{} rows", self.rows),
-                format!("{} rows", other.rows),
-            ));
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
     }
 
     /// Extracts the contiguous sub-matrix with rows `r0..r1` and columns
@@ -491,14 +415,6 @@ impl Mul for &Matrix {
     }
 }
 
-impl Neg for &Matrix {
-    type Output = Matrix;
-
-    fn neg(self) -> Matrix {
-        self.scaled(-1.0)
-    }
-}
-
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix {}x{} ", self.rows, self.cols)?;
@@ -607,21 +523,8 @@ mod tests {
     fn norms_on_known_matrix() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]).unwrap();
         assert!(approx_eq(a.norm_inf(), 7.0));
-        assert!(approx_eq(a.norm_one(), 6.0));
         assert!(approx_eq(a.norm_max(), 4.0));
         assert!(approx_eq(a.norm_frobenius(), 30.0_f64.sqrt()));
-    }
-
-    #[test]
-    fn stack_operations() {
-        let a = Matrix::identity(2);
-        let b = Matrix::zeros(2, 2);
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (2, 4));
-        assert!(approx_eq(h[(1, 1)], 1.0));
-        assert!(approx_eq(h[(1, 3)], 0.0));
     }
 
     #[test]

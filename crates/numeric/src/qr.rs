@@ -91,16 +91,6 @@ impl Qr {
         Ok(Qr { qr, betas })
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.qr.rows()
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.qr.cols()
-    }
-
     /// Applies `Qᵀ` to a vector in place.
     fn apply_qt(&self, x: &mut [f64]) {
         let (m, n) = self.qr.shape();

@@ -1,15 +1,15 @@
-//! Scalar root finding: bisection, Brent's method, and safeguarded Newton.
+//! Scalar root finding by Brent's method.
 //!
-//! Used for distribution quantiles (inverting CDFs), event location in the
-//! linearized state-space engine, and impedance-matching calculations in
-//! the harvester model.
+//! The Student-t and F quantiles in [`crate::stats::dist`] invert their
+//! CDFs with it.
 
 use crate::{NumericError, Result};
 
-/// Maximum iterations for the bracketing methods.
+/// Maximum iterations of Brent's method.
 const MAX_ITER: usize = 200;
 
-/// Finds a root of `f` in `[a, b]` by bisection.
+/// Finds a root of `f` in `[a, b]` using Brent's method (inverse quadratic
+/// interpolation with bisection fallback).
 ///
 /// # Errors
 ///
@@ -17,46 +17,6 @@ const MAX_ITER: usize = 200;
 ///   a root (same sign) or the interval is malformed.
 /// * [`NumericError::NoConvergence`] if the tolerance is not reached in
 ///   200 iterations (practically impossible for sane tolerances).
-pub fn bisect(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> Result<f64> {
-    if !(a < b) {
-        return Err(NumericError::invalid(format!("bad interval [{a}, {b}]")));
-    }
-    let (mut lo, mut hi) = (a, b);
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo * fhi > 0.0 {
-        return Err(NumericError::invalid(format!(
-            "f({a}) and f({b}) have the same sign"
-        )));
-    }
-    for _ in 0..MAX_ITER {
-        let mid = 0.5 * (lo + hi);
-        let fmid = f(mid);
-        if fmid == 0.0 || (hi - lo) < tol {
-            return Ok(mid);
-        }
-        if flo * fmid < 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-            flo = fmid;
-        }
-    }
-    Err(NumericError::NoConvergence { routine: "bisect" })
-}
-
-/// Finds a root of `f` in `[a, b]` using Brent's method (inverse quadratic
-/// interpolation with bisection fallback).
-///
-/// # Errors
-///
-/// Same conditions as [`bisect`].
 pub fn brent(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> Result<f64> {
     if !(a < b) {
         return Err(NumericError::invalid(format!("bad interval [{a}, {b}]")));
@@ -141,82 +101,9 @@ pub fn brent(f: impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> Result<f64> {
     Err(NumericError::NoConvergence { routine: "brent" })
 }
 
-/// Safeguarded Newton iteration: falls back to bisection when the Newton
-/// step leaves the bracket `[a, b]`.
-///
-/// # Errors
-///
-/// Same conditions as [`bisect`].
-pub fn newton_bracketed(
-    f: impl Fn(f64) -> f64,
-    df: impl Fn(f64) -> f64,
-    a: f64,
-    b: f64,
-    tol: f64,
-) -> Result<f64> {
-    if !(a < b) {
-        return Err(NumericError::invalid(format!("bad interval [{a}, {b}]")));
-    }
-    let (mut lo, mut hi) = (a, b);
-    let flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo * fhi > 0.0 {
-        return Err(NumericError::invalid(format!(
-            "f({a}) and f({b}) have the same sign"
-        )));
-    }
-    // Orient so f(lo) < 0.
-    if flo > 0.0 {
-        std::mem::swap(&mut lo, &mut hi);
-    }
-    let mut x = 0.5 * (lo + hi);
-    for _ in 0..MAX_ITER {
-        let fx = f(x);
-        if fx.abs() == 0.0 {
-            return Ok(x);
-        }
-        if fx < 0.0 {
-            lo = x;
-        } else {
-            hi = x;
-        }
-        let dfx = df(x);
-        let newton_x = if dfx != 0.0 { x - fx / dfx } else { f64::NAN };
-        let inside = if lo < hi {
-            newton_x > lo && newton_x < hi
-        } else {
-            newton_x > hi && newton_x < lo
-        };
-        let next = if newton_x.is_finite() && inside {
-            newton_x
-        } else {
-            0.5 * (lo + hi)
-        };
-        if (next - x).abs() < tol {
-            return Ok(next);
-        }
-        x = next;
-    }
-    Err(NumericError::NoConvergence {
-        routine: "newton_bracketed",
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bisect_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((r - 2.0f64.sqrt()).abs() < 1e-10);
-    }
 
     #[test]
     fn brent_sqrt2_faster_than_bisect_tolerance() {
@@ -232,27 +119,19 @@ mod tests {
     }
 
     #[test]
-    fn newton_with_derivative() {
-        let r = newton_bracketed(|x| x * x - 2.0, |x| 2.0 * x, 0.0, 2.0, 1e-14).unwrap();
-        assert!((r - 2.0f64.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
     fn endpoints_that_are_roots() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12).unwrap(), 0.0);
+        assert_eq!(brent(|x| x, 0.0, 1.0, 1e-12).unwrap(), 0.0);
         assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, 1e-12).unwrap(), 1.0);
     }
 
     #[test]
     fn non_bracketing_is_rejected() {
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12).is_err());
         assert!(brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12).is_err());
-        assert!(newton_bracketed(|x| x * x + 1.0, |x| 2.0 * x, -1.0, 1.0, 1e-12).is_err());
     }
 
     #[test]
     fn malformed_interval_is_rejected() {
-        assert!(bisect(|x| x, 1.0, 0.0, 1e-12).is_err());
+        assert!(brent(|x| x, 1.0, 0.0, 1e-12).is_err());
         assert!(brent(|x| x, 1.0, 1.0, 1e-12).is_err());
     }
 

@@ -1,92 +1,16 @@
-//! Probability distributions: normal, Student-t, Fisher F, chi-squared.
+//! Probability distributions: Student-t and Fisher F.
 //!
-//! Each distribution exposes `pdf`, `cdf`, `sf` (survival function) and
-//! `quantile`. Quantiles are computed by a closed-form rational
-//! approximation for the normal and by Brent inversion of the CDF for the
-//! others, which is plenty fast for building ANOVA tables.
+//! Each distribution exposes `cdf`, `sf` (survival function) and
+//! `quantile`. Quantiles are computed by Brent inversion of the CDF,
+//! which is plenty fast for building ANOVA tables. `cdf` and `sf` return
+//! NaN for a NaN argument.
 
-use super::special::{beta_inc, erfc, gamma_p, ln_gamma};
+use super::special::beta_inc;
 use crate::rootfind::brent;
 use crate::{NumericError, Result};
 
-/// Normal (Gaussian) distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    sd: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] if `sd <= 0` or either parameter
-    /// is non-finite.
-    pub fn new(mean: f64, sd: f64) -> Result<Self> {
-        if !(sd > 0.0) || !mean.is_finite() || !sd.is_finite() {
-            return Err(NumericError::invalid(format!(
-                "normal requires finite mean and sd > 0 (got mean={mean}, sd={sd})"
-            )));
-        }
-        Ok(Normal { mean, sd })
-    }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal { mean: 0.0, sd: 1.0 }
-    }
-
-    /// Mean parameter.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation parameter.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
-
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.sd * std::f64::consts::SQRT_2);
-        0.5 * erfc(-z)
-    }
-
-    /// Survival function `1 - cdf(x)`.
-    pub fn sf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.sd * std::f64::consts::SQRT_2);
-        0.5 * erfc(z)
-    }
-
-    /// Quantile (inverse CDF) via the Acklam rational approximation
-    /// polished with one Newton step.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] if `p ∉ (0, 1)`.
-    pub fn quantile(&self, p: f64) -> Result<f64> {
-        if !(0.0 < p && p < 1.0) {
-            return Err(NumericError::invalid(format!(
-                "quantile requires p in (0, 1), got {p}"
-            )));
-        }
-        let z = standard_normal_quantile(p);
-        // One Newton polish against our own cdf for consistency.
-        let std = Normal::standard();
-        let err = std.cdf(z) - p;
-        let z = z - err / std.pdf(z).max(1e-300);
-        Ok(self.mean + self.sd * z)
-    }
-}
-
-/// Acklam's rational approximation to the standard normal quantile.
+/// Acklam's rational approximation to the standard normal quantile,
+/// which brackets [`StudentT::quantile`]'s root search.
 fn standard_normal_quantile(p: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
@@ -156,27 +80,13 @@ impl StudentT {
         Ok(StudentT { df })
     }
 
-    /// Degrees of freedom.
-    pub fn df(&self) -> f64 {
-        self.df
-    }
-
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let v = self.df;
-        let ln_coeff =
-            ln_gamma((v + 1.0) / 2.0) - ln_gamma(v / 2.0) - 0.5 * (v * std::f64::consts::PI).ln();
-        (ln_coeff - (v + 1.0) / 2.0 * (1.0 + x * x / v).ln()).exp()
-    }
-
     /// Cumulative distribution function via the incomplete beta function.
     pub fn cdf(&self, x: f64) -> f64 {
         let v = self.df;
         if x == 0.0 {
             return 0.5;
         }
-        let ib = beta_inc(v / 2.0, 0.5, v / (v + x * x))
-            .expect("beta_inc arguments are in-domain by construction");
+        let ib = beta_inc(v / 2.0, 0.5, v / (v + x * x)).unwrap_or(f64::NAN);
         if x > 0.0 {
             1.0 - 0.5 * ib
         } else {
@@ -189,9 +99,15 @@ impl StudentT {
         self.cdf(-x)
     }
 
-    /// Two-sided p-value for an observed statistic `t`.
+    /// Two-sided p-value for an observed statistic `t` (NaN for a NaN
+    /// statistic).
     pub fn p_value_two_sided(&self, t: f64) -> f64 {
-        (2.0 * self.sf(t.abs())).min(1.0)
+        let p = 2.0 * self.sf(t.abs());
+        if p > 1.0 {
+            1.0
+        } else {
+            p
+        }
     }
 
     /// Quantile via Brent inversion of the CDF.
@@ -245,16 +161,6 @@ impl FisherF {
         Ok(FisherF { d1, d2 })
     }
 
-    /// Numerator degrees of freedom.
-    pub fn d1(&self) -> f64 {
-        self.d1
-    }
-
-    /// Denominator degrees of freedom.
-    pub fn d2(&self) -> f64 {
-        self.d2
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
@@ -265,7 +171,7 @@ impl FisherF {
             self.d2 / 2.0,
             self.d1 * x / (self.d1 * x + self.d2),
         )
-        .expect("beta_inc arguments are in-domain by construction")
+        .unwrap_or(f64::NAN)
     }
 
     /// Survival function `1 - cdf(x)` — the p-value of an F test.
@@ -278,7 +184,7 @@ impl FisherF {
             self.d1 / 2.0,
             self.d2 / (self.d1 * x + self.d2),
         )
-        .expect("beta_inc arguments are in-domain by construction")
+        .unwrap_or(f64::NAN)
     }
 
     /// Quantile via Brent inversion of the CDF.
@@ -302,97 +208,9 @@ impl FisherF {
     }
 }
 
-/// Chi-squared distribution with `k` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquared {
-    k: f64,
-}
-
-impl ChiSquared {
-    /// Creates a chi-squared distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] if `k <= 0` or non-finite.
-    pub fn new(k: f64) -> Result<Self> {
-        if !(k > 0.0) || !k.is_finite() {
-            return Err(NumericError::invalid(format!(
-                "chi-squared requires k > 0, got {k}"
-            )));
-        }
-        Ok(ChiSquared { k })
-    }
-
-    /// Degrees of freedom.
-    pub fn k(&self) -> f64 {
-        self.k
-    }
-
-    /// Cumulative distribution function.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        gamma_p(self.k / 2.0, x / 2.0).expect("gamma_p arguments are in-domain")
-    }
-
-    /// Survival function `1 - cdf(x)`.
-    pub fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
-    /// Quantile via Brent inversion of the CDF.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] if `p ∉ (0, 1)`.
-    pub fn quantile(&self, p: f64) -> Result<f64> {
-        if !(0.0 < p && p < 1.0) {
-            return Err(NumericError::invalid(format!(
-                "quantile requires p in (0, 1), got {p}"
-            )));
-        }
-        let mut hi = self.k.max(1.0);
-        while self.cdf(hi) < p && hi < 1e12 {
-            hi *= 4.0;
-        }
-        brent(|x| self.cdf(x) - p, 0.0, hi, 1e-12)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        let n = Normal::standard();
-        assert!((n.cdf(0.0) - 0.5).abs() < 1e-14);
-        assert!((n.cdf(1.0) - 0.841_344_746_068_542_9).abs() < 1e-10);
-        assert!((n.cdf(-1.96) - 0.024_997_895_148_220_43).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normal_quantile_inverts_cdf() {
-        let n = Normal::new(2.0, 3.0).unwrap();
-        for p in [0.001, 0.05, 0.3, 0.5, 0.9, 0.999] {
-            let x = n.quantile(p).unwrap();
-            assert!((n.cdf(x) - p).abs() < 1e-10, "p={p}");
-        }
-    }
-
-    #[test]
-    fn normal_known_critical_value() {
-        let n = Normal::standard();
-        assert!((n.quantile(0.975).unwrap() - 1.959_963_984_540_054).abs() < 1e-8);
-    }
-
-    #[test]
-    fn normal_rejects_bad_params() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::standard().quantile(0.0).is_err());
-    }
 
     #[test]
     fn student_t_reference_values() {
@@ -400,9 +218,9 @@ mod tests {
         let t = StudentT::new(10.0).unwrap();
         assert!((t.cdf(1.812_461_122_811_676) - 0.95).abs() < 1e-9);
         assert!((t.cdf(0.0) - 0.5).abs() < 1e-14);
-        // Large df approaches the normal.
+        // Large df approaches the normal: Φ(1) = 0.8413447460685429.
         let t_big = StudentT::new(1e6).unwrap();
-        assert!((t_big.cdf(1.0) - Normal::standard().cdf(1.0)).abs() < 1e-5);
+        assert!((t_big.cdf(1.0) - 0.841_344_746_068_542_9).abs() < 1e-5);
     }
 
     #[test]
@@ -454,21 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn chi_squared_reference_values() {
-        // chi2(2) cdf(x) = 1 - e^{-x/2}
-        let c = ChiSquared::new(2.0).unwrap();
-        for x in [0.5, 1.0, 5.0] {
-            assert!((c.cdf(x) - (1.0 - (-x / 2.0).exp())).abs() < 1e-12);
-        }
-        // 0.95 quantile of chi2(3) is 7.8147.
-        let c3 = ChiSquared::new(3.0).unwrap();
-        assert!((c3.quantile(0.95).unwrap() - 7.814_727_903_251_178).abs() < 1e-6);
+    fn nan_arguments_give_nan_not_a_panic() {
+        let t = StudentT::new(6.0).unwrap();
+        assert!(t.cdf(f64::NAN).is_nan());
+        assert!(t.sf(f64::NAN).is_nan());
+        assert!(t.p_value_two_sided(f64::NAN).is_nan());
+        let f = FisherF::new(3.0, 9.0).unwrap();
+        assert!(f.cdf(f64::NAN).is_nan());
+        assert!(f.sf(f64::NAN).is_nan());
     }
 
     #[test]
     fn parameter_validation() {
         assert!(StudentT::new(0.0).is_err());
         assert!(FisherF::new(1.0, 0.0).is_err());
-        assert!(ChiSquared::new(-1.0).is_err());
     }
 }

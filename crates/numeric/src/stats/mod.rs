@@ -1,14 +1,12 @@
-//! Statistics: special functions, probability distributions, and
-//! descriptive summaries.
+//! Statistics: the Student-t and Fisher F distributions and the special
+//! functions beneath them.
 //!
-//! The DoE crate's ANOVA tables need F-distribution tail probabilities,
-//! coefficient t-tests need the Student-t distribution, and confidence
-//! intervals need quantiles of both — all built here on top of the
-//! regularized incomplete beta and gamma functions.
+//! The DoE crate's coefficient t-tests need Student-t tail probabilities
+//! and quantiles (for confidence half-widths), and its ANOVA tables need
+//! F-distribution tail probabilities — both built here on top of the
+//! log-gamma and regularized incomplete beta functions.
 
 pub mod dist;
 pub mod special;
-pub mod summary;
 
-pub use dist::{ChiSquared, FisherF, Normal, StudentT};
-pub use summary::Summary;
+pub use dist::{FisherF, StudentT};

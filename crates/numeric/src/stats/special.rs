@@ -1,10 +1,9 @@
-//! Special functions: log-gamma, regularized incomplete gamma and beta,
-//! and the error function.
+//! Special functions: log-gamma and the regularized incomplete beta
+//! function, which the Student-t and F distributions are built on.
 //!
-//! Implementations follow the classic series/continued-fraction forms
-//! (Lanczos approximation for `ln Γ`, Lentz's algorithm for the beta
-//! continued fraction) and are accurate to ~1e-13 over the parameter
-//! ranges the DoE machinery uses.
+//! Implementations follow the classic forms (Lanczos approximation for
+//! `ln Γ`, Lentz's algorithm for the beta continued fraction) and are
+//! accurate to ~1e-13 over the parameter ranges the DoE machinery uses.
 
 use crate::{NumericError, Result};
 
@@ -41,84 +40,6 @@ pub fn ln_gamma(x: f64) -> f64 {
         a += c / (x + i as f64);
     }
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Regularized lower incomplete gamma function `P(a, x)`.
-///
-/// # Errors
-///
-/// [`NumericError::InvalidArgument`] if `a <= 0` or `x < 0`;
-/// [`NumericError::NoConvergence`] if the expansion stalls.
-pub fn gamma_p(a: f64, x: f64) -> Result<f64> {
-    if a <= 0.0 || x < 0.0 {
-        return Err(NumericError::invalid(format!(
-            "gamma_p requires a > 0, x >= 0 (got a={a}, x={x})"
-        )));
-    }
-    if x == 0.0 {
-        return Ok(0.0);
-    }
-    if x < a + 1.0 {
-        // Series representation converges quickly here.
-        let mut term = 1.0 / a;
-        let mut sum = term;
-        let mut ap = a;
-        for _ in 0..500 {
-            ap += 1.0;
-            term *= x / ap;
-            sum += term;
-            if term.abs() < sum.abs() * 1e-16 {
-                let ln_prefix = -x + a * x.ln() - ln_gamma(a);
-                return Ok((sum * ln_prefix.exp()).clamp(0.0, 1.0));
-            }
-        }
-        Err(NumericError::NoConvergence {
-            routine: "gamma_p series",
-        })
-    } else {
-        // Continued fraction for Q(a, x), then P = 1 - Q.
-        Ok(1.0 - gamma_q_cf(a, x)?)
-    }
-}
-
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-///
-/// # Errors
-///
-/// Same as [`gamma_p`].
-pub fn gamma_q(a: f64, x: f64) -> Result<f64> {
-    Ok(1.0 - gamma_p(a, x)?)
-}
-
-fn gamma_q_cf(a: f64, x: f64) -> Result<f64> {
-    // Modified Lentz's method on the continued fraction.
-    const TINY: f64 = 1e-300;
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / TINY;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..500 {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = b + an / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let delta = d * c;
-        h *= delta;
-        if (delta - 1.0).abs() < 1e-16 {
-            let ln_prefix = -x + a * x.ln() - ln_gamma(a);
-            return Ok((h * ln_prefix.exp()).clamp(0.0, 1.0));
-        }
-    }
-    Err(NumericError::NoConvergence {
-        routine: "gamma_q continued fraction",
-    })
 }
 
 /// Regularized incomplete beta function `I_x(a, b)`.
@@ -205,28 +126,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> Result<f64> {
     })
 }
 
-/// Error function `erf(x)`, computed from the incomplete gamma function.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = gamma_p(0.5, x * x).expect("gamma_p(0.5, x²) is always valid");
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    if x > 0.0 {
-        gamma_q(0.5, x * x).expect("gamma_q(0.5, x²) is always valid")
-    } else {
-        1.0 + gamma_p(0.5, x * x).expect("gamma_p(0.5, x²) is always valid")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,32 +149,6 @@ mod tests {
         assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-12);
         // Γ(3/2) = sqrt(pi)/2
         assert!((ln_gamma(1.5) - (std::f64::consts::PI.sqrt() / 2.0).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gamma_p_known_values() {
-        // P(1, x) = 1 - e^{-x}
-        for x in [0.1, 1.0, 3.0, 10.0] {
-            assert!((gamma_p(1.0, x).unwrap() - (1.0 - (-x).exp())).abs() < 1e-12);
-        }
-        assert_eq!(gamma_p(2.0, 0.0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn gamma_p_q_sum_to_one() {
-        for a in [0.5, 1.0, 2.5, 10.0] {
-            for x in [0.1, 1.0, 5.0, 20.0] {
-                let p = gamma_p(a, x).unwrap();
-                let q = gamma_q(a, x).unwrap();
-                assert!((p + q - 1.0).abs() < 1e-12, "a={a}, x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn gamma_p_rejects_bad_args() {
-        assert!(gamma_p(0.0, 1.0).is_err());
-        assert!(gamma_p(1.0, -1.0).is_err());
     }
 
     #[test]
@@ -310,20 +183,5 @@ mod tests {
         assert!(beta_inc(-1.0, 1.0, 0.5).is_err());
         assert!(beta_inc(1.0, 0.0, 0.5).is_err());
         assert!(beta_inc(1.0, 1.0, 1.5).is_err());
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert_eq!(erf(0.0), 0.0);
-        assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-12);
-        assert!((erf(-1.0) + 0.842_700_792_949_714_9).abs() < 1e-12);
-        assert!((erf(3.0) - 0.999_977_909_503_001_4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn erfc_complements_erf() {
-        for x in [-2.0, -0.5, 0.0, 0.5, 2.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -1,9 +1,37 @@
 //! Property-based tests for the numerical substrate.
 
-use ehsim_numeric::stats::dist::{FisherF, Normal, StudentT};
-use ehsim_numeric::stats::special::{beta_inc, gamma_p, gamma_q};
-use ehsim_numeric::{expm, vector, Cholesky, FnSystem, Lu, Matrix, Polynomial, Qr, Rk4};
+use ehsim_numeric::stats::dist::{FisherF, StudentT};
+use ehsim_numeric::stats::special::beta_inc;
+use ehsim_numeric::{expm, Lu, Matrix, Qr};
 use proptest::prelude::*;
+
+/// Maximum absolute elementwise difference of two equal-length slices.
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |m, (x, y)| m.max((x - y).abs()))
+}
+
+/// `x(t_end)` for `ẋ = A·x`, `x(0) = x0`, by classic fixed-step RK4 —
+/// an integrator independent of the Padé/squaring path in `expm`.
+fn rk4_linear(a: &Matrix, x0: &[f64], h: f64, t_end: f64) -> Vec<f64> {
+    let f = |x: &[f64]| a.matvec(x).expect("dimension matches");
+    let axpy = |x: &[f64], s: f64, k: &[f64]| -> Vec<f64> {
+        x.iter().zip(k).map(|(xi, ki)| xi + s * ki).collect()
+    };
+    let mut x = x0.to_vec();
+    let mut t = 0.0;
+    while t < t_end {
+        let h = h.min(t_end - t);
+        let k1 = f(&x);
+        let k2 = f(&axpy(&x, 0.5 * h, &k1));
+        let k3 = f(&axpy(&x, 0.5 * h, &k2));
+        let k4 = f(&axpy(&x, h, &k3));
+        for i in 0..x.len() {
+            x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        }
+        t += h;
+    }
+    x
+}
 
 /// Strategy: a well-conditioned square matrix built as D + N with a
 /// dominant diagonal.
@@ -39,7 +67,7 @@ proptest! {
         let lu = Lu::factor(&a).expect("diagonally dominant is nonsingular");
         let x = lu.solve(&b).expect("dimension matches");
         let ax = a.matvec(&x).expect("dimension matches");
-        prop_assert!(vector::max_abs_diff(&ax, &b) < 1e-8);
+        prop_assert!(max_abs_diff(&ax, &b) < 1e-8);
     }
 
     #[test]
@@ -67,26 +95,10 @@ proptest! {
         let qr = Qr::factor(&a).expect("full rank after bump");
         let x = qr.solve_least_squares(&b).expect("dimension matches");
         let ax = a.matvec(&x).expect("dimension matches");
-        let r = vector::sub(&b, &ax);
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
         // Normal equations: A^T r == 0 at the LS optimum.
         let atr = a.matvec_transposed(&r).expect("dimension matches");
-        prop_assert!(vector::norm_inf(&atr) < 1e-7);
-    }
-
-    #[test]
-    fn cholesky_solves_gram_systems(
-        vals in prop::collection::vec(-2.0f64..2.0, 6 * 4),
-        b in prop::collection::vec(-5.0f64..5.0, 4),
-    ) {
-        let x_mat = Matrix::from_vec(6, 4, vals).expect("sized buffer");
-        let mut gram = (&x_mat.transpose() * &x_mat).expect("conformable");
-        for i in 0..4 {
-            gram[(i, i)] += 1.0; // regularise
-        }
-        let ch = Cholesky::factor(&gram).expect("SPD after regularisation");
-        let x = ch.solve(&b).expect("dimension matches");
-        let gx = gram.matvec(&x).expect("dimension matches");
-        prop_assert!(vector::max_abs_diff(&gx, &b) < 1e-8);
+        prop_assert!(atr.iter().fold(0.0, |m: f64, v| m.max(v.abs())) < 1e-7);
     }
 
     #[test]
@@ -118,37 +130,16 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_factor_reconstructs_the_matrix(
-        vals in prop::collection::vec(-2.0f64..2.0, 6 * 4),
-    ) {
-        let x_mat = Matrix::from_vec(6, 4, vals).expect("sized buffer");
-        let mut gram = (&x_mat.transpose() * &x_mat).expect("conformable");
-        for i in 0..4 {
-            gram[(i, i)] += 1.0; // regularise to SPD
-        }
-        let ch = Cholesky::factor(&gram).expect("SPD after regularisation");
-        // L·Lᵀ == A within 1e-9.
-        let l = ch.l();
-        let prod = (l * &l.transpose()).expect("conformable");
-        prop_assert!(prod.max_abs_diff(&gram).expect("same shape") < 1e-9);
-    }
-
-    #[test]
     fn expm_matches_ode_reference_on_stable_systems(
         a in stable_matrix(3),
         x0 in prop::collection::vec(-2.0f64..2.0, 3),
     ) {
         // x(1) for ẋ = A·x is e^{A}·x0; RK4 at h = 1e-3 carries a
         // global error of O(h⁴), far below the 1e-8 tolerance.
-        let sys = FnSystem::new(3, |_t, x: &[f64], dxdt: &mut [f64]| {
-            for i in 0..3 {
-                dxdt[i] = (0..3).map(|j| a[(i, j)] * x[j]).sum();
-            }
-        });
-        let traj = Rk4::new(1e-3).integrate(&sys, 0.0, &x0, 1.0).expect("integrates");
+        let got = rk4_linear(&a, &x0, 1e-3, 1.0);
         let e = expm(&a).expect("finite matrix");
         let want = e.matvec(&x0).expect("dimension matches");
-        prop_assert!(vector::max_abs_diff(traj.last_state(), &want) < 1e-8);
+        prop_assert!(max_abs_diff(&got, &want) < 1e-8);
     }
 
     #[test]
@@ -168,22 +159,6 @@ proptest! {
         let e = expm(&a).expect("finite matrix");
         let det = e[(0, 0)] * e[(1, 1)] - e[(0, 1)] * e[(1, 0)];
         prop_assert!((det - a.trace().exp()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn normal_cdf_is_monotone_and_bounded(x in -6.0f64..6.0, dx in 0.001f64..2.0) {
-        let n = Normal::standard();
-        let c1 = n.cdf(x);
-        let c2 = n.cdf(x + dx);
-        prop_assert!((0.0..=1.0).contains(&c1));
-        prop_assert!(c2 >= c1);
-    }
-
-    #[test]
-    fn normal_quantile_roundtrip(p in 0.001f64..0.999) {
-        let n = Normal::standard();
-        let x = n.quantile(p).expect("p in range");
-        prop_assert!((n.cdf(x) - p).abs() < 1e-9);
     }
 
     #[test]
@@ -207,44 +182,4 @@ proptest! {
         prop_assert!(i2 >= i1 - 1e-12);
     }
 
-    #[test]
-    fn gamma_p_plus_q_is_one(a in 0.1f64..30.0, x in 0.0f64..60.0) {
-        let p = gamma_p(a, x).expect("in domain");
-        let q = gamma_q(a, x).expect("in domain");
-        prop_assert!((p + q - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn polynomial_eval_linear_in_add(
-        c1 in prop::collection::vec(-3.0f64..3.0, 1..6),
-        c2 in prop::collection::vec(-3.0f64..3.0, 1..6),
-        x in -2.0f64..2.0,
-    ) {
-        let p = Polynomial::new(c1);
-        let q = Polynomial::new(c2);
-        let sum = p.add(&q);
-        prop_assert!((sum.eval(x) - (p.eval(x) + q.eval(x))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn polynomial_mul_matches_pointwise(
-        c1 in prop::collection::vec(-2.0f64..2.0, 1..5),
-        c2 in prop::collection::vec(-2.0f64..2.0, 1..5),
-        x in -1.5f64..1.5,
-    ) {
-        let p = Polynomial::new(c1);
-        let q = Polynomial::new(c2);
-        let prod = p.mul(&q);
-        prop_assert!((prod.eval(x) - p.eval(x) * q.eval(x)).abs() < 1e-8);
-    }
-
-    #[test]
-    fn quadratic_roots_actually_vanish(
-        a in 0.1f64..5.0, b in -10.0f64..10.0, c in -10.0f64..10.0,
-    ) {
-        let p = Polynomial::new(vec![c, b, a]);
-        for r in p.real_roots().expect("degree 2") {
-            prop_assert!(p.eval(r).abs() < 1e-6 * (a.abs() + b.abs() + c.abs()).max(1.0));
-        }
-    }
 }

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // The environment: the machine's vibration level fades to 25 % for
     // a third of every run — no amount of frequency retuning helps.
-    let scenario = Scenario::fading_machine(14400.0);
+    let scenario = Scenario::fading_machine(14400.0)?;
 
     // 1. Same node, three runtime policies.
     let policies = [
@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     factors.c_store = (0.03, 0.1);
     factors.task_period = (1.0, 20.0);
     let ensemble = ScenarioEnsemble::new(vec![
-        (Scenario::stationary_machine(3600.0), 0.6),
-        (Scenario::fading_machine(3600.0), 0.4),
+        (Scenario::stationary_machine(3600.0)?, 0.6),
+        (Scenario::fading_machine(3600.0)?, 0.4),
     ])?;
     let campaign = EnsembleCampaign::adaptive(
         factors,

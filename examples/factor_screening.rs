@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("=== factor screening on the flagship design problem ===\n");
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::drifting_machine(3600.0),
+        Scenario::drifting_machine(3600.0)?,
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )?;
     let surrogates = DoeFlow::new(DesignChoice::FaceCenteredCcd { center_points: 3 })

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let factors = StandardFactors::default();
     let campaign = Campaign::standard(
         factors,
-        Scenario::drifting_machine(3600.0),
+        Scenario::drifting_machine(3600.0)?,
         vec![
             Indicator::PacketsPerHour,
             Indicator::BrownoutMarginV,

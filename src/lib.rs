@@ -16,7 +16,7 @@
 //!
 //! | module | underlying crate | contents |
 //! |---|---|---|
-//! | [`numeric`] | `ehsim-numeric` | linear algebra, ODE solvers, `expm`, statistics |
+//! | [`numeric`] | `ehsim-numeric` | dense LU/QR, symmetric eigen, `expm`, complex numbers, t/F distributions |
 //! | [`circuit`] | `ehsim-circuit` | MNA netlists, Newton–Raphson and linearized state-space engines |
 //! | [`vibration`] | `ehsim-vibration` | excitation sources: sines, drifts, noise, bursts, shocks |
 //! | [`harvester`] | `ehsim-harvester` | tunable electromagnetic harvester model |

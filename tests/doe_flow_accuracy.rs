@@ -12,7 +12,7 @@ use ehsim::doe::optimize::Goal;
 fn campaign(duration: f64) -> Campaign {
     Campaign::standard(
         StandardFactors::default(),
-        Scenario::drifting_machine(duration),
+        Scenario::drifting_machine(duration).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )
     .expect("valid campaign")

@@ -36,7 +36,7 @@ fn custom_campaign_over_policy_parameters() {
     let campaign = Campaign::new(
         space,
         configure,
-        Scenario::drifting_machine(1800.0),
+        Scenario::drifting_machine(1800.0).unwrap(),
         vec![Indicator::EnergyBalanceJ, Indicator::RetuneCount],
     )
     .expect("campaign");
@@ -57,7 +57,7 @@ fn custom_campaign_over_policy_parameters() {
 fn anova_and_canonical_analysis_on_real_surfaces() {
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::drifting_machine(1800.0),
+        Scenario::drifting_machine(1800.0).unwrap(),
         vec![Indicator::BrownoutMarginV],
     )
     .expect("campaign");
@@ -81,7 +81,7 @@ fn anova_and_canonical_analysis_on_real_surfaces() {
 fn exploration_tools_compose() {
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::stationary_machine(600.0),
+        Scenario::stationary_machine(600.0).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )
     .expect("campaign");

@@ -50,7 +50,7 @@ fn node_simulation_is_bit_deterministic() {
 fn campaign_is_deterministic_across_thread_counts() {
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::industrial_spectrum(300.0),
+        Scenario::industrial_spectrum(300.0).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::FinalStorageV],
     )
     .expect("campaign");
@@ -65,7 +65,7 @@ fn campaign_is_deterministic_across_thread_counts() {
 fn rsm_coefficient_fingerprint() -> String {
     let campaign = Campaign::standard(
         StandardFactors::default(),
-        Scenario::industrial_spectrum(120.0),
+        Scenario::industrial_spectrum(120.0).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::FinalStorageV],
     )
     .expect("campaign");

@@ -10,9 +10,9 @@ use ehsim::doe::optimize::{Goal, RobustGoal};
 
 fn ensemble_campaign(duration_s: f64) -> EnsembleCampaign {
     let ensemble = ScenarioEnsemble::new(vec![
-        (Scenario::stationary_machine(duration_s), 0.5),
-        (Scenario::drifting_machine(duration_s), 0.3),
-        (Scenario::industrial_spectrum(duration_s), 0.2),
+        (Scenario::stationary_machine(duration_s).unwrap(), 0.5),
+        (Scenario::drifting_machine(duration_s).unwrap(), 0.3),
+        (Scenario::industrial_spectrum(duration_s).unwrap(), 0.2),
     ])
     .expect("valid ensemble");
     EnsembleCampaign::standard(

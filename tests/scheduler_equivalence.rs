@@ -15,7 +15,7 @@ use std::sync::Arc;
 fn campaign(duration_s: f64) -> Campaign {
     Campaign::standard(
         StandardFactors::default(),
-        Scenario::stationary_machine(duration_s),
+        Scenario::stationary_machine(duration_s).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::BrownoutMarginV],
     )
     .expect("valid campaign")
@@ -27,9 +27,9 @@ fn campaign(duration_s: f64) -> Campaign {
 /// queue exists to absorb.
 fn lopsided_ensemble() -> EnsembleCampaign {
     let ensemble = ScenarioEnsemble::new(vec![
-        (Scenario::stationary_machine(60.0), 0.4),
-        (Scenario::drifting_machine(360.0), 0.4),
-        (Scenario::industrial_spectrum(120.0), 0.2),
+        (Scenario::stationary_machine(60.0).unwrap(), 0.4),
+        (Scenario::drifting_machine(360.0).unwrap(), 0.4),
+        (Scenario::industrial_spectrum(120.0).unwrap(), 0.2),
     ])
     .expect("valid ensemble");
     EnsembleCampaign::standard(
@@ -138,7 +138,7 @@ fn first_error_in_job_order_is_thread_count_invariant() {
     let c = Campaign::new(
         space,
         configure,
-        Scenario::stationary_machine(30.0),
+        Scenario::stationary_machine(30.0).unwrap(),
         vec![Indicator::PacketsPerHour],
     )
     .expect("campaign");
@@ -218,8 +218,9 @@ fn mixed_prepare_and_run_time_errors_follow_job_order() {
         "poisoned",
     )
     .expect("valid scenario");
-    let ensemble = ScenarioEnsemble::uniform(vec![Scenario::stationary_machine(120.0), poisoned])
-        .expect("valid ensemble");
+    let ensemble =
+        ScenarioEnsemble::uniform(vec![Scenario::stationary_machine(120.0).unwrap(), poisoned])
+            .expect("valid ensemble");
     let factors = StandardFactors::default();
     let space = factors.space().expect("space");
     // The point with coded TX power +1 gets an invalid capacitance.

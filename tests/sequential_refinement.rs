@@ -16,9 +16,9 @@ use ehsim::doe::Design;
 /// response non-quadratic (a small copy of the e12 experiment's shape).
 fn fixture_ensemble(duration_s: f64) -> ScenarioEnsemble {
     ScenarioEnsemble::new(vec![
-        (Scenario::stationary_machine(duration_s), 0.40),
-        (Scenario::fading_machine(duration_s), 0.35),
-        (Scenario::intermittent_machine(duration_s), 0.25),
+        (Scenario::stationary_machine(duration_s).unwrap(), 0.40),
+        (Scenario::fading_machine(duration_s).unwrap(), 0.35),
+        (Scenario::intermittent_machine(duration_s).unwrap(), 0.25),
     ])
     .expect("valid ensemble")
 }

@@ -15,7 +15,7 @@ use ehsim::doe::design::lhs::latin_hypercube;
 fn small_campaign() -> Campaign {
     Campaign::standard(
         StandardFactors::default(),
-        Scenario::industrial_spectrum(60.0),
+        Scenario::industrial_spectrum(60.0).unwrap(),
         vec![Indicator::PacketsPerHour, Indicator::FinalStorageV],
     )
     .expect("campaign")
