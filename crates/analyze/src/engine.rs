@@ -1,10 +1,8 @@
-//! The check engine: walk the tree, lex, scan, resolve suppressions
-//! and the baseline, and render the verdict.
+//! The check engine: walk the tree, lex, scan, resolve suppressions,
+//! and render the verdict.
 
-use crate::baseline::Baseline;
 use crate::lexer;
 use crate::rules::{self, RuleId};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -13,10 +11,8 @@ use std::path::{Path, PathBuf};
 /// How a finding was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingStatus {
-    /// Not suppressed and not covered by the baseline: fails the check.
+    /// Not suppressed: fails the check.
     New,
-    /// Covered by the committed baseline allowance for its (file, rule).
-    Baselined,
     /// Suppressed by an inline `// lint:allow(rule): reason` annotation.
     Suppressed,
 }
@@ -68,46 +64,24 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Scan problems (malformed/unused annotations, lex failures).
     pub problems: Vec<ScanProblem>,
-    /// Baseline entries whose debt has shrunk (or vanished): they fail
-    /// the check until the baseline is ratcheted down, so an allowance
-    /// never keeps slack a new violation could hide in.
-    pub stale_baseline: Vec<String>,
     /// Number of files scanned (rules applied).
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Whether the tree passes: no new findings, no scan problems and
-    /// no stale baseline entries.
+    /// Whether the tree passes: no new findings and no scan problems.
     pub fn is_clean(&self) -> bool {
-        self.problems.is_empty()
-            && self.stale_baseline.is_empty()
-            && self.findings.iter().all(|f| f.status != FindingStatus::New)
+        self.problems.is_empty() && self.findings.iter().all(|f| f.status != FindingStatus::New)
     }
 
-    /// Counts by status: (new, baselined, suppressed).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for f in &self.findings {
-            match f.status {
-                FindingStatus::New => c.0 += 1,
-                FindingStatus::Baselined => c.1 += 1,
-                FindingStatus::Suppressed => c.2 += 1,
-            }
-        }
-        c
-    }
-
-    /// The `(file, rule, count)` triples of every *unsuppressed*
-    /// finding — the shape `--update-baseline` writes out.
-    pub fn unsuppressed_counts(&self) -> Vec<(String, RuleId, usize)> {
-        let mut counts: BTreeMap<(String, RuleId), usize> = BTreeMap::new();
-        for f in &self.findings {
-            if f.status != FindingStatus::Suppressed {
-                *counts.entry((f.file.clone(), f.rule)).or_insert(0) += 1;
-            }
-        }
-        counts.into_iter().map(|((f, r), c)| (f, r, c)).collect()
+    /// Counts by status: (new, suppressed).
+    pub fn counts(&self) -> (usize, usize) {
+        let new = self
+            .findings
+            .iter()
+            .filter(|f| f.status == FindingStatus::New)
+            .count();
+        (new, self.findings.len() - new)
     }
 
     /// Renders the human-readable verdict (what the CLI prints).
@@ -119,7 +93,6 @@ impl Report {
         for f in &self.findings {
             let (tag, show) = match f.status {
                 FindingStatus::New => ("NEW", true),
-                FindingStatus::Baselined => ("baselined", verbose),
                 FindingStatus::Suppressed => ("allowed", verbose),
             };
             if show {
@@ -136,18 +109,13 @@ impl Report {
                 );
             }
         }
-        for s in &self.stale_baseline {
-            let _ = writeln!(out, "stale baseline: {s}");
-        }
-        let (new, baselined, suppressed) = self.counts();
+        let (new, suppressed) = self.counts();
         let _ = writeln!(
             out,
-            "ehsim-analyze: {} files scanned, {} findings ({} new, {} baselined, {} allowed), \
-             {} scan problems",
+            "ehsim-analyze: {} files scanned, {} findings ({} new, {} allowed), {} scan problems",
             self.files_scanned,
             self.findings.len(),
             new,
-            baselined,
             suppressed,
             self.problems.len()
         );
@@ -157,8 +125,8 @@ impl Report {
             let _ = writeln!(
                 out,
                 "determinism contract: VIOLATED — fix the sites above, or (only with a \
-                 written justification) add `// lint:allow(<rule>): <reason>`; ratchet \
-                 stale baseline entries down with --update-baseline"
+                 written justification, and never for D4) add \
+                 `// lint:allow(<rule>): <reason>`"
             );
         }
         out
@@ -258,15 +226,14 @@ fn collect_sources(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
     Ok(out)
 }
 
-/// Checks the tree rooted at `root` against `baseline`.
+/// Checks the tree rooted at `root`.
 ///
 /// # Errors
 ///
 /// Only on I/O failure walking or reading the tree; everything found
 /// *in* the sources is reported through the [`Report`].
-pub fn check_tree(root: &Path, baseline: &Baseline) -> io::Result<Report> {
+pub fn check_tree(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
-    let mut per_file_rule: BTreeMap<(String, RuleId), Vec<usize>> = BTreeMap::new();
     for (path, rel) in collect_sources(root)? {
         let class = rules::classify(&rel);
         if !class.any_rule_applies() {
@@ -327,7 +294,6 @@ pub fn check_tree(root: &Path, baseline: &Baseline) -> io::Result<Report> {
                 suppressions[i].1 = true;
                 status = FindingStatus::Suppressed;
             }
-            let idx = report.findings.len();
             report.findings.push(Finding {
                 rule: f.rule,
                 file: rel.clone(),
@@ -336,12 +302,6 @@ pub fn check_tree(root: &Path, baseline: &Baseline) -> io::Result<Report> {
                 what: f.what,
                 status,
             });
-            if status == FindingStatus::New {
-                per_file_rule
-                    .entry((rel.clone(), f.rule))
-                    .or_default()
-                    .push(idx);
-            }
         }
         for (s, used) in &suppressions {
             if !used {
@@ -355,31 +315,6 @@ pub fn check_tree(root: &Path, baseline: &Baseline) -> io::Result<Report> {
                     ),
                 });
             }
-        }
-    }
-    // Apply the baseline: within each (file, rule) group, the first
-    // `allowed` findings are grandfathered; any beyond that are new.
-    for ((file, rule), idxs) in &per_file_rule {
-        let allowed = baseline.allowed(file, *rule);
-        for (k, &idx) in idxs.iter().enumerate() {
-            if k < allowed {
-                report.findings[idx].status = FindingStatus::Baselined;
-            }
-        }
-        if idxs.len() < allowed {
-            report.stale_baseline.push(format!(
-                "{file} / {rule}: {} findings remain of {allowed} baselined — ratchet the \
-                 baseline down (--update-baseline)",
-                idxs.len()
-            ));
-        }
-    }
-    for (file, rule, allowed) in baseline.entries() {
-        if !per_file_rule.contains_key(&(file.to_string(), rule)) {
-            report.stale_baseline.push(format!(
-                "{file} / {rule}: 0 findings remain of {allowed} baselined — ratchet the \
-                 baseline down (--update-baseline)"
-            ));
         }
     }
     report

@@ -23,10 +23,9 @@
 //!
 //! Suppression is explicit and auditable: an inline
 //! `// lint:allow(D2): <reason>` annotation (the reason is mandatory,
-//! and an annotation that stops matching anything fails the check),
-//! plus a committed [`baseline`] (`crates/analyze/baseline.toml`) that
-//! meters grandfathered debt per `(file, rule)` — the check fails on
-//! any *new* violation while existing debt stays visible.
+//! and an annotation that stops matching anything fails the check).
+//! Every other finding fails the check. D4 gets no annotations at all:
+//! a panic in library code is fixed, never allowed.
 //!
 //! Run it as:
 //!
@@ -34,11 +33,9 @@
 //! cargo run -p ehsim-analyze -- check
 //! ```
 
-pub mod baseline;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
 
-pub use baseline::{Baseline, BaselineError};
 pub use engine::{check_tree, Finding, FindingStatus, Report, ScanProblem};
 pub use rules::RuleId;

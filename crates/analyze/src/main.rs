@@ -1,35 +1,25 @@
 //! CLI for the workspace determinism lint.
 //!
 //! ```text
-//! cargo run -p ehsim-analyze -- check [--root DIR] [--baseline FILE]
-//!                                     [--no-baseline] [--update-baseline]
-//!                                     [--verbose]
+//! cargo run -p ehsim-analyze -- check [--root DIR] [--verbose]
 //! ```
 
 #![forbid(unsafe_code)]
 
-use ehsim_analyze::baseline::Baseline;
 use ehsim_analyze::engine;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ehsim-analyze check [--root DIR] [--baseline FILE] \
-                     [--no-baseline] [--update-baseline] [--verbose]";
+const USAGE: &str = "usage: ehsim-analyze check [--root DIR] [--verbose]";
 
 struct Options {
     root: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
-    no_baseline: bool,
-    update_baseline: bool,
     verbose: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        baseline_path: None,
-        no_baseline: false,
-        update_baseline: false,
         verbose: false,
     };
     if args.first().map(String::as_str) != Some("check") {
@@ -42,14 +32,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or(format!("--root needs a value\n{USAGE}"))?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it
-                    .next()
-                    .ok_or(format!("--baseline needs a value\n{USAGE}"))?;
-                opts.baseline_path = Some(PathBuf::from(v));
-            }
-            "--no-baseline" => opts.no_baseline = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--verbose" | "-v" => opts.verbose = true,
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
@@ -80,45 +62,14 @@ fn find_workspace_root() -> Option<PathBuf> {
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args)?;
-    let root = match &opts.root {
-        Some(r) => r.clone(),
+    let root = match opts.root {
+        Some(r) => r,
         None => find_workspace_root().ok_or("cannot locate the workspace root; pass --root")?,
     };
     if !root.is_dir() {
         return Err(format!("root `{}` is not a directory", root.display()));
     }
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join("crates/analyze/baseline.toml"));
-    let baseline = if opts.no_baseline {
-        Baseline::empty()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text).map_err(|e| e.to_string())?,
-            Err(_) => {
-                eprintln!(
-                    "note: no baseline at {} — every finding counts as new",
-                    baseline_path.display()
-                );
-                Baseline::empty()
-            }
-        }
-    };
-    let report = engine::check_tree(&root, &baseline).map_err(|e| e.to_string())?;
-    if opts.update_baseline {
-        let updated = Baseline::from_counts(report.unsuppressed_counts());
-        std::fs::write(&baseline_path, updated.render())
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        println!(
-            "wrote {} ({} entries)",
-            baseline_path.display(),
-            updated.len()
-        );
-        // A freshly written baseline covers everything by construction,
-        // but scan problems (malformed/unused annotations) still fail.
-        return Ok(report.problems.is_empty());
-    }
+    let report = engine::check_tree(&root).map_err(|e| e.to_string())?;
     print!("{}", report.render(opts.verbose));
     Ok(report.is_clean())
 }

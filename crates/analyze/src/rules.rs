@@ -160,7 +160,7 @@ impl FileClass {
     }
 }
 
-/// One raw rule hit, before suppression/baseline resolution.
+/// One raw rule hit, before suppression resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFinding {
     /// The rule that fired.

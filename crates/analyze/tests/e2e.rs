@@ -1,8 +1,7 @@
 //! End-to-end checks over committed fixture trees: every rule fires,
-//! both suppression forms work, a clean tree passes, and the baseline
-//! meters debt per (file, rule).
+//! both suppression forms work, and a clean tree passes.
 
-use ehsim_analyze::{check_tree, Baseline, FindingStatus, RuleId};
+use ehsim_analyze::{check_tree, FindingStatus, RuleId};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -14,7 +13,7 @@ fn fixture(name: &str) -> PathBuf {
 
 #[test]
 fn every_rule_fires_on_the_violations_tree() {
-    let report = check_tree(&fixture("violations"), &Baseline::empty()).expect("scan runs");
+    let report = check_tree(&fixture("violations")).expect("scan runs");
     assert!(!report.is_clean());
     assert!(report.problems.is_empty(), "{:?}", report.problems);
     for rule in RuleId::ALL {
@@ -54,7 +53,7 @@ fn every_rule_fires_on_the_violations_tree() {
 
 #[test]
 fn both_suppression_forms_silence_the_suppressed_tree() {
-    let report = check_tree(&fixture("suppressed"), &Baseline::empty()).expect("scan runs");
+    let report = check_tree(&fixture("suppressed")).expect("scan runs");
     assert!(report.is_clean(), "{}", report.render(true));
     assert!(report.problems.is_empty(), "{:?}", report.problems);
     // Everything the tree still contains is explicitly allowed...
@@ -69,79 +68,10 @@ fn both_suppression_forms_silence_the_suppressed_tree() {
 
 #[test]
 fn clean_tree_has_zero_findings() {
-    let report = check_tree(&fixture("clean"), &Baseline::empty()).expect("scan runs");
+    let report = check_tree(&fixture("clean")).expect("scan runs");
     assert!(report.is_clean());
     assert!(report.findings.is_empty(), "{}", report.render(true));
     assert!(report.problems.is_empty());
-    assert!(report.stale_baseline.is_empty());
-}
-
-#[test]
-fn baseline_grandfathers_exactly_the_allowed_count() {
-    let root = fixture("violations");
-    // A baseline generated from the tree's own debt makes it pass.
-    let raw = check_tree(&root, &Baseline::empty()).expect("scan runs");
-    let full = Baseline::from_counts(raw.unsuppressed_counts());
-    let report = check_tree(&root, &full).expect("scan runs");
-    assert!(report.is_clean(), "{}", report.render(true));
-    assert!(report
-        .findings
-        .iter()
-        .all(|f| f.status == FindingStatus::Baselined));
-    assert!(report.stale_baseline.is_empty());
-
-    // One allowance short on (demo lib, D1): exactly one finding stays new.
-    let mut counts = raw.unsuppressed_counts();
-    let d1 = counts
-        .iter_mut()
-        .find(|(f, r, _)| f == "crates/demo/src/lib.rs" && *r == RuleId::D1)
-        .expect("demo lib has D1 debt");
-    d1.2 -= 1;
-    let short = Baseline::from_counts(counts);
-    let report = check_tree(&root, &short).expect("scan runs");
-    assert!(!report.is_clean());
-    let new: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.status == FindingStatus::New)
-        .collect();
-    assert_eq!(new.len(), 1);
-    assert_eq!(new[0].rule, RuleId::D1);
-}
-
-#[test]
-fn shrunken_debt_is_reported_as_stale() {
-    let root = fixture("violations");
-    let raw = check_tree(&root, &Baseline::empty()).expect("scan runs");
-    // Inflate one entry and add one for a file with no findings at all.
-    let mut counts = raw.unsuppressed_counts();
-    for c in counts.iter_mut() {
-        if c.0 == "crates/numeric/src/kernel.rs" && c.1 == RuleId::D5 {
-            c.2 += 3;
-        }
-    }
-    counts.push(("crates/demo/src/gone.rs".into(), RuleId::D4, 2));
-    let report = check_tree(&root, &Baseline::from_counts(counts)).expect("scan runs");
-    // Both kinds of stale allowance are reported, and either fails the
-    // check: leftover slack would let a new violation pass as baselined.
-    // Nothing else is wrong with the tree.
-    assert!(report.problems.is_empty());
-    assert!(report
-        .findings
-        .iter()
-        .all(|f| f.status != FindingStatus::New));
-    assert!(!report.is_clean(), "{}", report.render(true));
-    assert_eq!(
-        report.stale_baseline.len(),
-        2,
-        "{:?}",
-        report.stale_baseline
-    );
-    assert!(report
-        .stale_baseline
-        .iter()
-        .any(|s| s.contains("kernel.rs")));
-    assert!(report.stale_baseline.iter().any(|s| s.contains("gone.rs")));
 }
 
 #[test]
@@ -159,7 +89,7 @@ fn malformed_and_unused_annotations_are_problems() {
          pub fn also_nothing() {}\n",
     )
     .expect("write fixture");
-    let report = check_tree(&dir, &Baseline::empty()).expect("scan runs");
+    let report = check_tree(&dir).expect("scan runs");
     std::fs::remove_dir_all(&dir).ok();
     assert!(!report.is_clean());
     assert_eq!(report.problems.len(), 3, "{:?}", report.problems);
@@ -174,7 +104,7 @@ fn binary_exit_codes_match_the_verdict() {
     let bin = env!("CARGO_BIN_EXE_ehsim-analyze");
     let run = |tree: &str| {
         Command::new(bin)
-            .args(["check", "--no-baseline", "--root"])
+            .args(["check", "--root"])
             .arg(fixture(tree))
             .output()
             .expect("binary runs")
@@ -194,8 +124,8 @@ fn binary_exit_codes_match_the_verdict() {
 
 #[test]
 fn binary_checks_the_real_workspace_cleanly() {
-    // The committed baseline plus inline annotations must hold: the
-    // workspace's own determinism contract is CLEAN at all times.
+    // The workspace's own determinism contract is CLEAN at all times:
+    // every finding is fixed or carries a justified annotation.
     let bin = env!("CARGO_BIN_EXE_ehsim-analyze");
     let out = Command::new(bin)
         .arg("check")

@@ -48,14 +48,20 @@ impl AcSweep {
         Some(self.voltages.iter().map(|v| v[n].arg()).collect())
     }
 
-    /// Frequency of the magnitude peak at a node.
+    /// Frequency of the magnitude peak at a node (the last of equal
+    /// peaks); `None` for an unknown node or a NaN magnitude.
     pub fn peak_frequency(&self, node: &str) -> Option<f64> {
         let mags = self.magnitude(node)?;
-        let (idx, _) = mags
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite magnitudes"))?;
-        Some(self.freqs[idx])
+        let mut peak = 0;
+        for (i, &m) in mags.iter().enumerate() {
+            if m.is_nan() {
+                return None;
+            }
+            if m >= mags[peak] {
+                peak = i;
+            }
+        }
+        self.freqs.get(peak).copied()
     }
 }
 
@@ -258,12 +264,17 @@ pub fn ac_sweep(
 fn solve_complex(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Complex>> {
     let n = b.len();
     for k in 0..n {
-        // Pivot by magnitude.
-        let (p, mag) = (k..n)
-            .map(|i| (i, a[i][k].abs()))
-            .max_by(|x, y| x.1.partial_cmp(&y.1).expect("finite magnitudes"))
-            .expect("non-empty range");
-        if mag < 1e-300 {
+        // Pivot by magnitude: the last of equal maxima. A NaN is never
+        // picked over a number; elimination turns its row all-NaN, and
+        // the row fails the check below once it is the first candidate.
+        let (mut p, mut mag) = (k, a[k][k].abs());
+        for (i, row) in a.iter().enumerate().skip(k + 1) {
+            let m = row[k].abs();
+            if m >= mag {
+                (p, mag) = (i, m);
+            }
+        }
+        if !(mag >= 1e-300) {
             return Err(ehsim_numeric::NumericError::Singular.into());
         }
         a.swap(k, p);
@@ -298,6 +309,7 @@ fn solve_complex(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Co
 mod tests {
     use super::*;
     use crate::waveform::SourceWaveform;
+    use ehsim_numeric::NumericError;
 
     #[test]
     fn rc_lowpass_corner() {
@@ -399,6 +411,43 @@ mod tests {
             (got - expect).abs() < 1e-6 * expect.max(1e-12),
             "AC {got} vs analytic {expect}"
         );
+    }
+
+    #[test]
+    fn peak_is_the_last_of_equal_maxima_and_none_for_nan() {
+        let sweep = |mags: &[f64]| AcSweep {
+            freqs: (1..=mags.len()).map(|i| i as f64).collect(),
+            voltages: mags
+                .iter()
+                .map(|&m| vec![Complex::default(), Complex::real(m)])
+                .collect(),
+            node_index: [("out".to_string(), 1)].into_iter().collect(),
+        };
+        assert_eq!(
+            sweep(&[1.0, 3.0, 2.0, 3.0]).peak_frequency("out"),
+            Some(4.0)
+        );
+        assert_eq!(sweep(&[2.0]).peak_frequency("out"), Some(1.0));
+        assert_eq!(sweep(&[1.0, f64::NAN, 2.0]).peak_frequency("out"), None);
+    }
+
+    #[test]
+    fn nan_anywhere_in_the_complex_system_is_singular() {
+        for (r, c) in [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (0, 2)] {
+            let mut a: Vec<Vec<Complex>> = (0..3)
+                .map(|i| {
+                    (0..3)
+                        .map(|j| Complex::real(if i == j { 2.0 } else { 0.5 }))
+                        .collect()
+                })
+                .collect();
+            a[r][c] = Complex::real(f64::NAN);
+            let got = solve_complex(a, vec![Complex::real(1.0); 3]);
+            assert!(
+                matches!(got, Err(CircuitError::Numeric(NumericError::Singular))),
+                "NaN at ({r}, {c}): {got:?}"
+            );
+        }
     }
 
     #[test]

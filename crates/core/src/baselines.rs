@@ -5,9 +5,10 @@
 //! `[-1, 1]^k`, paying one (potentially very costly) objective
 //! evaluation per probe, and reports how many evaluations it spent.
 
-use crate::{CoreError, Result};
+use crate::{cmp_f64, CoreError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cmp::Ordering;
 
 /// Outcome of a black-box search.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,12 +30,34 @@ fn check_k(k: usize) -> Result<()> {
     Ok(())
 }
 
+/// Evaluates the objective once and counts the call. Every optimiser
+/// probes through here, so no probed value is NaN.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidArgument`] if the objective is NaN at `x`.
+fn probe(f: &mut dyn FnMut(&[f64]) -> f64, x: &[f64], evaluations: &mut usize) -> Result<f64> {
+    *evaluations += 1;
+    let v = f(x);
+    if v.is_nan() {
+        return Err(CoreError::invalid(format!("objective is NaN at {x:?}")));
+    }
+    Ok(v)
+}
+
+/// Orders probed points best (largest value) first; a stable sort keeps
+/// tied points (−0.0 and +0.0 included) in order.
+fn best_first(a: &(Vec<f64>, f64), b: &(Vec<f64>, f64)) -> Ordering {
+    cmp_f64(b.1, a.1)
+}
+
 /// Exhaustive grid search with `levels` points per axis.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidArgument`] if `k == 0`, `levels < 2`, or the
-/// grid would exceed 10⁷ evaluations.
+/// [`CoreError::InvalidArgument`] if `k == 0`, `levels < 2`, the
+/// grid would exceed 10⁷ evaluations, or the objective is NaN at a
+/// probed point.
 pub fn grid_search(
     f: &mut dyn FnMut(&[f64]) -> f64,
     k: usize,
@@ -50,19 +73,16 @@ pub fn grid_search(
             "grid of {total:.0} points is unreasonable"
         )));
     }
-    let mut idx = vec![0usize; k];
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    let mut evaluations = 0;
-    loop {
-        let x: Vec<f64> = idx
-            .iter()
+    let point = |idx: &[usize]| -> Vec<f64> {
+        idx.iter()
             .map(|&i| -1.0 + 2.0 * i as f64 / (levels as f64 - 1.0))
-            .collect();
-        let v = f(&x);
-        evaluations += 1;
-        if best.as_ref().map_or(true, |(_, b)| v > *b) {
-            best = Some((x, v));
-        }
+            .collect()
+    };
+    let mut idx = vec![0usize; k];
+    let mut evaluations = 0;
+    let mut best = point(&idx);
+    let mut best_value = probe(f, &best, &mut evaluations)?;
+    loop {
         // Odometer.
         let mut j = 0;
         loop {
@@ -73,14 +93,19 @@ pub fn grid_search(
             idx[j] = 0;
             j += 1;
             if j == k {
-                let (bx, bv) = best.expect("at least one evaluation");
                 return Ok(SearchOutcome {
-                    best: bx,
-                    best_value: bv,
+                    best,
+                    best_value,
                     evaluations,
                     method: "grid",
                 });
             }
+        }
+        let x = point(&idx);
+        let v = probe(f, &x, &mut evaluations)?;
+        if v > best_value {
+            best = x;
+            best_value = v;
         }
     }
 }
@@ -91,7 +116,8 @@ pub fn grid_search(
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidArgument`] if `k == 0` or `max_evals` is 0.
+/// [`CoreError::InvalidArgument`] if `k == 0`, `max_evals` is 0, or
+/// the objective is NaN at a probed point.
 pub fn nelder_mead(
     f: &mut dyn FnMut(&[f64]) -> f64,
     k: usize,
@@ -107,26 +133,22 @@ pub fn nelder_mead(
         }
     };
     let mut evaluations = 0;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        f(x)
-    };
 
     // Initial simplex: centre plus one vertex offset per axis.
     let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(k + 1);
     let center = vec![0.0; k];
-    let v0 = eval(&center, &mut evaluations);
+    let v0 = probe(f, &center, &mut evaluations)?;
     simplex.push((center, v0));
     for j in 0..k {
         let mut x = vec![0.0; k];
         x[j] = 0.6;
-        let v = eval(&x, &mut evaluations);
+        let v = probe(f, &x, &mut evaluations)?;
         simplex.push((x, v));
     }
 
     while evaluations < max_evals {
         // Sort descending by value (maximisation).
-        simplex.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite objective"));
+        simplex.sort_by(best_first);
         let worst = simplex[k].clone();
         // Centroid of all but the worst.
         let mut centroid = vec![0.0; k];
@@ -142,7 +164,7 @@ pub fn nelder_mead(
             .map(|(c, w)| c + (c - w))
             .collect();
         clamp(&mut xr);
-        let vr = eval(&xr, &mut evaluations);
+        let vr = probe(f, &xr, &mut evaluations)?;
         if vr > simplex[0].1 {
             // Expansion.
             let mut xe: Vec<f64> = centroid
@@ -151,7 +173,7 @@ pub fn nelder_mead(
                 .map(|(c, w)| c + 2.0 * (c - w))
                 .collect();
             clamp(&mut xe);
-            let ve = eval(&xe, &mut evaluations);
+            let ve = probe(f, &xe, &mut evaluations)?;
             simplex[k] = if ve > vr { (xe, ve) } else { (xr, vr) };
         } else if vr > simplex[k - 1].1 {
             simplex[k] = (xr, vr);
@@ -163,7 +185,7 @@ pub fn nelder_mead(
                 .map(|(c, w)| c + 0.5 * (w - c))
                 .collect();
             clamp(&mut xc);
-            let vc = eval(&xc, &mut evaluations);
+            let vc = probe(f, &xc, &mut evaluations)?;
             if vc > worst.1 {
                 simplex[k] = (xc, vc);
             } else {
@@ -176,7 +198,7 @@ pub fn nelder_mead(
                         .map(|(b, xi)| b + 0.5 * (xi - b))
                         .collect();
                     clamp(&mut x);
-                    let v = eval(&x, &mut evaluations);
+                    let v = probe(f, &x, &mut evaluations)?;
                     *item = (x, v);
                     if evaluations >= max_evals {
                         break;
@@ -197,7 +219,7 @@ pub fn nelder_mead(
             break;
         }
     }
-    simplex.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite objective"));
+    simplex.sort_by(best_first);
     Ok(SearchOutcome {
         best: simplex[0].0.clone(),
         best_value: simplex[0].1,
@@ -210,7 +232,8 @@ pub fn nelder_mead(
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidArgument`] if `k == 0` or `max_evals == 0`.
+/// [`CoreError::InvalidArgument`] if `k == 0`, `max_evals == 0`, or
+/// the objective is NaN at a probed point.
 pub fn simulated_annealing(
     f: &mut dyn FnMut(&[f64]) -> f64,
     k: usize,
@@ -223,8 +246,8 @@ pub fn simulated_annealing(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut x = vec![0.0; k];
-    let mut fx = f(&x);
-    let mut evaluations = 1;
+    let mut evaluations = 0;
+    let mut fx = probe(f, &x, &mut evaluations)?;
     let mut best = (x.clone(), fx);
     let mut temperature = 1.0f64;
     let cooling = (1e-3f64).powf(1.0 / max_evals as f64);
@@ -235,8 +258,7 @@ pub fn simulated_annealing(
         for v in cand.iter_mut() {
             *v = (*v + step * (rng.random::<f64>() * 2.0 - 1.0)).clamp(-1.0, 1.0);
         }
-        let fc = f(&cand);
-        evaluations += 1;
+        let fc = probe(f, &cand, &mut evaluations)?;
         let accept = fc > fx || {
             let u: f64 = rng.random();
             u < ((fc - fx) / temperature.max(1e-12)).exp()
@@ -265,7 +287,7 @@ pub fn simulated_annealing(
 /// # Errors
 ///
 /// [`CoreError::InvalidArgument`] if `k == 0`, the population is < 4,
-/// or `generations == 0`.
+/// `generations == 0`, or the objective is NaN at a probed point.
 pub fn genetic(
     f: &mut dyn FnMut(&[f64]) -> f64,
     k: usize,
@@ -282,21 +304,16 @@ pub fn genetic(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evaluations = 0;
-    let mut evaluate = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        f(x)
-    };
 
-    let mut pop: Vec<(Vec<f64>, f64)> = (0..population)
-        .map(|_| {
-            let x: Vec<f64> = (0..k).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
-            let v = evaluate(&x, &mut evaluations);
-            (x, v)
-        })
-        .collect();
+    let mut pop: Vec<(Vec<f64>, f64)> = Vec::with_capacity(population);
+    for _ in 0..population {
+        let x: Vec<f64> = (0..k).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
+        let v = probe(f, &x, &mut evaluations)?;
+        pop.push((x, v));
+    }
 
     for _gen in 0..generations {
-        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite objective"));
+        pop.sort_by(best_first);
         let elite = pop[0].clone();
         let mut next = vec![elite];
         while next.len() < population {
@@ -326,12 +343,12 @@ pub fn genetic(
                     *v = (*v + 0.3 * (rng.random::<f64>() * 2.0 - 1.0)).clamp(-1.0, 1.0);
                 }
             }
-            let value = evaluate(&child, &mut evaluations);
+            let value = probe(f, &child, &mut evaluations)?;
             next.push((child, value));
         }
         pop = next;
     }
-    pop.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite objective"));
+    pop.sort_by(best_first);
     Ok(SearchOutcome {
         best: pop[0].0.clone(),
         best_value: pop[0].1,
@@ -401,6 +418,38 @@ mod tests {
         let g1 = genetic(&mut f3, 2, 12, 6, 9).unwrap();
         let g2 = genetic(&mut f4, 2, 12, 6, 9).unwrap();
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    fn nan_objective_is_an_invalid_argument_for_every_optimiser() {
+        // NaN on part of the box only: each optimiser reaches it early
+        // (the grid at x0 = 1, the first simplex at x0 = 0.6, the
+        // random walks and the initial population well before their
+        // budgets run out).
+        fn holed(x: &[f64]) -> f64 {
+            if x[0] > 0.25 {
+                f64::NAN
+            } else {
+                peak(x)
+            }
+        }
+        let is_invalid = |r: Result<SearchOutcome>| matches!(r, Err(CoreError::InvalidArgument { ref message }) if message.contains("NaN"));
+        let mut f = |x: &[f64]| holed(x);
+        assert!(is_invalid(grid_search(&mut f, 2, 3)));
+        assert!(is_invalid(nelder_mead(&mut f, 2, 100)));
+        assert!(is_invalid(simulated_annealing(&mut f, 2, 400, 11)));
+        assert!(is_invalid(genetic(&mut f, 2, 20, 15, 3)));
+    }
+
+    #[test]
+    fn grid_search_keeps_the_first_of_tied_optima() {
+        // −x² peaks at −0.0 on the centre column; the odometer probes
+        // (0, −1) first, so its −0.0 stays the best against the later
+        // −0.0 values.
+        let mut f = |x: &[f64]| -(x[0] * x[0]);
+        let out = grid_search(&mut f, 2, 3).unwrap();
+        assert_eq!(out.best, vec![0.0, -1.0]);
+        assert!(out.best_value == 0.0 && out.best_value.is_sign_negative());
     }
 
     #[test]

@@ -636,8 +636,10 @@ impl EnsembleSurrogateSet {
         }
         let penalty_scale = 100.0 * (hi - lo).max(1.0);
         let objective = |x: &[f64]| {
-            let mut v =
-                robust_objective(&models, robust, goal, x).expect("dimension checked at entry");
+            // `robust_objective` fails only on a malformed model set,
+            // and then at every probe: the NaN makes `optimize_fn`
+            // report a non-finite objective.
+            let mut v = robust_objective(&models, robust, goal, x).unwrap_or(f64::NAN);
             // In the Minimize case optimize_fn still maximises the
             // signed objective internally; express the penalty on the
             // same maximisation axis.

@@ -170,6 +170,14 @@ impl From<std::io::Error> for CoreError {
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
+/// Orders two values as `partial_cmp` does, but totally: −0.0 and +0.0
+/// tie, and a NaN orders by its sign (positive above +∞, negative below
+/// −∞) instead of aborting a sort.
+pub(crate) fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
+    // `x + 0.0` is `x`, except that −0.0 becomes +0.0.
+    (a + 0.0).total_cmp(&(b + 0.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +193,19 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn cmp_f64_ties_signed_zeros_and_orders_nan() {
+        use std::cmp::Ordering;
+        assert_eq!(cmp_f64(-0.0, 0.0), Ordering::Equal);
+        assert_eq!(cmp_f64(-1.0, -0.0), Ordering::Less);
+        assert_eq!(cmp_f64(f64::INFINITY, f64::NAN), Ordering::Less);
+        // A stable sort keeps tied zeros in order and survives a NaN.
+        let mut v = [0.0, f64::NAN, -0.0, -2.0, 1.0];
+        v.sort_by(|a, b| cmp_f64(*a, *b));
+        assert_eq!(v[..4], [-2.0, 0.0, -0.0, 1.0]);
+        assert!(v[1].is_sign_positive() && v[2].is_sign_negative());
+        assert!(v[4].is_nan());
     }
 }

@@ -12,7 +12,7 @@
 //!   directly.
 
 use crate::flow::SurrogateSet;
-use crate::{CoreError, Result};
+use crate::{cmp_f64, CoreError, Result};
 
 /// One ranked effect.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +69,7 @@ pub fn effects_ranking(surrogates: &SurrogateSet, indicator_idx: usize) -> Resul
             p_value: p_values[j],
         });
     }
-    effects.sort_by(|a, b| b.t_abs.partial_cmp(&a.t_abs).expect("finite t"));
+    effects.sort_by(|a, b| cmp_f64(b.t_abs, a.t_abs));
     Ok(effects)
 }
 
@@ -106,11 +106,7 @@ pub fn main_effect_ranges(
         out.push((surrogates.space().factors()[j].name().to_string(), lo, hi));
     }
     // Largest swing first.
-    out.sort_by(|a, b| {
-        (b.2 - b.1)
-            .partial_cmp(&(a.2 - a.1))
-            .expect("finite swings")
-    });
+    out.sort_by(|a, b| cmp_f64(b.2 - b.1, a.2 - a.1));
     Ok(out)
 }
 

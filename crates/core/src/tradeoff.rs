@@ -3,7 +3,7 @@
 //! simulator runs done directly, and takes milliseconds on the RSMs.
 
 use crate::flow::SurrogateSet;
-use crate::{CoreError, Result};
+use crate::{cmp_f64, CoreError, Result};
 use ehsim_doe::design::lhs::latin_hypercube;
 use ehsim_doe::optimize::Goal;
 
@@ -87,11 +87,7 @@ pub fn pareto_front(
             objectives: objectives_raw,
         });
     }
-    front.sort_by(|a, b| {
-        a.objectives[0]
-            .partial_cmp(&b.objectives[0])
-            .expect("finite objectives")
-    });
+    front.sort_by(|a, b| cmp_f64(a.objectives[0], b.objectives[0]));
     Ok(front)
 }
 

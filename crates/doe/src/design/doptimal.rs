@@ -61,18 +61,16 @@ pub fn d_optimal(
 
     // Random restarts until the starting information matrix is
     // invertible.
-    let mut selected: Option<Vec<usize>> = None;
+    let mut start: Option<(Vec<usize>, f64)> = None;
     for _ in 0..50 {
         indices.shuffle(&mut rng);
         let trial: Vec<usize> = indices[..n].to_vec();
-        if log_det_information(&rows, &trial, p).is_some() {
-            selected = Some(trial);
+        if let Some(logdet) = log_det_information(&rows, &trial, p) {
+            start = Some((trial, logdet));
             break;
         }
     }
-    let mut selected = selected.ok_or(DoeError::RankDeficient)?;
-    let mut best_logdet =
-        log_det_information(&rows, &selected, p).expect("selected subset is nonsingular");
+    let (mut selected, mut best_logdet) = start.ok_or(DoeError::RankDeficient)?;
 
     // Fedorov exchange: repeatedly swap the selected point whose removal
     // hurts least with the candidate that helps most.

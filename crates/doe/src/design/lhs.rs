@@ -52,44 +52,6 @@ pub fn latin_hypercube(k: usize, n: usize, seed: u64) -> Result<Design> {
     Design::new(k, points, format!("lhs(n={n}, seed={seed})"))
 }
 
-/// Builds a maximin Latin hypercube: `restarts` seeded candidates are
-/// generated and the one maximising the minimum pairwise distance is
-/// kept.
-///
-/// # Errors
-///
-/// Same as [`latin_hypercube`], plus `restarts == 0`.
-pub fn maximin_latin_hypercube(k: usize, n: usize, seed: u64, restarts: usize) -> Result<Design> {
-    if restarts == 0 {
-        return Err(DoeError::invalid("need at least one restart"));
-    }
-    let mut best: Option<(f64, Design)> = None;
-    for r in 0..restarts {
-        let d = latin_hypercube(k, n, seed.wrapping_add(r as u64))?;
-        let score = min_pairwise_distance(d.points());
-        if best.as_ref().map_or(true, |(s, _)| score > *s) {
-            best = Some((score, d));
-        }
-    }
-    let (_, d) = best.expect("at least one restart ran");
-    Ok(d)
-}
-
-fn min_pairwise_distance(points: &[Vec<f64>]) -> f64 {
-    let mut min = f64::INFINITY;
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            let d2: f64 = points[i]
-                .iter()
-                .zip(points[j].iter())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            min = min.min(d2.sqrt());
-        }
-    }
-    min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,16 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn maximin_improves_spread() {
-        let base = latin_hypercube(2, 12, 100).unwrap();
-        let opt = maximin_latin_hypercube(2, 12, 100, 20).unwrap();
-        assert!(min_pairwise_distance(opt.points()) >= min_pairwise_distance(base.points()));
-    }
-
-    #[test]
     fn validation() {
         assert!(latin_hypercube(0, 5, 0).is_err());
         assert!(latin_hypercube(2, 0, 0).is_err());
-        assert!(maximin_latin_hypercube(2, 5, 0, 0).is_err());
     }
 }

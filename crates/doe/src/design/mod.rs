@@ -10,7 +10,6 @@ pub mod doptimal;
 pub mod factorial;
 pub mod fractional;
 pub mod lhs;
-pub mod plackett_burman;
 
 use crate::{DoeError, Result};
 use ehsim_numeric::Matrix;
@@ -108,20 +107,6 @@ impl Design {
     pub fn to_matrix(&self) -> Matrix {
         Matrix::from_fn(self.points.len(), self.k, |i, j| self.points[i][j])
     }
-
-    /// Number of exact replicate groups (runs sharing identical coded
-    /// coordinates) — relevant for the lack-of-fit test.
-    pub fn replicate_groups(&self) -> usize {
-        let mut sorted: Vec<&Vec<f64>> = self.points.iter().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
-        let mut groups = 1;
-        for w in sorted.windows(2) {
-            if w[0] != w[1] {
-                groups += 1;
-            }
-        }
-        groups
-    }
 }
 
 impl fmt::Display for Design {
@@ -173,17 +158,6 @@ mod tests {
         assert_eq!(c.n_runs(), 2);
         let bad = Design::new(3, vec![vec![0.0; 3]], "c").unwrap();
         assert!(a.concat(&bad).is_err());
-    }
-
-    #[test]
-    fn replicate_group_count() {
-        let d = Design::new(
-            1,
-            vec![vec![0.0], vec![1.0], vec![0.0], vec![-1.0], vec![0.0]],
-            "r",
-        )
-        .unwrap();
-        assert_eq!(d.replicate_groups(), 3);
     }
 
     #[test]

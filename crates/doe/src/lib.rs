@@ -10,9 +10,9 @@
 //! Provided here, all built from scratch on `ehsim-numeric`:
 //!
 //! * **Designs** ([`design`]): full and fractional two-level
-//!   factorials, Plackett–Burman screening designs, central composite
-//!   (rotatable / face-centred / custom α), Box–Behnken, seeded Latin
-//!   hypercube sampling, and D-optimal point exchange.
+//!   factorials, central composite (rotatable / face-centred / custom
+//!   α), Box–Behnken, seeded Latin hypercube sampling, and D-optimal
+//!   point exchange.
 //! * **Models** ([`model`]): polynomial model specifications (linear,
 //!   two-factor interaction, full quadratic, custom term sets) expanded
 //!   into design matrices.

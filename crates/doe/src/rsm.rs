@@ -49,38 +49,22 @@ impl ResponseSurface {
         let mut b = vec![0.0; k];
         let mut bmat = Matrix::zeros(k, k);
         for (term, &coef) in spec.terms().iter().zip(model.coefficients()) {
-            match term.degree() {
-                0 => b0 = coef,
-                1 => {
-                    let i = term
-                        .powers()
-                        .iter()
-                        .position(|&p| p == 1)
-                        .expect("degree-1 term has one linear factor");
-                    b[i] = coef;
+            let active: Vec<usize> = term
+                .powers()
+                .iter()
+                .enumerate()
+                .filter(|(_, &p)| p > 0)
+                .map(|(i, _)| i)
+                .collect();
+            match (term.degree(), active.as_slice()) {
+                (0, _) => b0 = coef,
+                (1, &[i]) => b[i] = coef,
+                (2, &[i]) => bmat[(i, i)] = coef,
+                (2, &[i, j]) => {
+                    bmat[(i, j)] = coef / 2.0;
+                    bmat[(j, i)] = coef / 2.0;
                 }
-                2 => {
-                    let active: Vec<usize> = term
-                        .powers()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &p)| p > 0)
-                        .map(|(i, _)| i)
-                        .collect();
-                    match active.len() {
-                        1 => bmat[(active[0], active[0])] = coef,
-                        2 => {
-                            bmat[(active[0], active[1])] = coef / 2.0;
-                            bmat[(active[1], active[0])] = coef / 2.0;
-                        }
-                        n => {
-                            return Err(DoeError::invalid(format!(
-                                "degree-2 term with {n} active factors"
-                            )))
-                        }
-                    }
-                }
-                d => {
+                (d, _) => {
                     return Err(DoeError::invalid(format!(
                         "canonical analysis needs degree <= 2, found term of degree {d}"
                     )))
@@ -162,8 +146,7 @@ impl ResponseSurface {
     /// Panics if `x.len()` differs from the factor count.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.b.len(), "dimension mismatch");
-        let bx = self.bmat.matvec(x).expect("dimension checked");
-        let quad: f64 = x.iter().zip(bx.iter()).map(|(a, c)| a * c).sum();
+        let quad: f64 = x.iter().zip(self.bx(x)).map(|(a, c)| a * c).sum();
         let lin: f64 = self.b.iter().zip(x.iter()).map(|(a, c)| a * c).sum();
         self.b0 + lin + quad
     }
@@ -175,12 +158,23 @@ impl ResponseSurface {
     /// Panics if `x.len()` differs from the factor count.
     pub fn gradient(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.b.len(), "dimension mismatch");
-        let bx = self.bmat.matvec(x).expect("dimension checked");
         self.b
             .iter()
-            .zip(bx.iter())
+            .zip(self.bx(x))
             .map(|(bi, bxi)| bi + 2.0 * bxi)
             .collect()
+    }
+
+    /// The rows of `B x`, each accumulated from 0.0 in column order as
+    /// [`Matrix::matvec`] does.
+    fn bx<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        (0..self.b.len()).map(move |i| {
+            self.bmat
+                .row(i)
+                .iter()
+                .zip(x)
+                .fold(0.0, |acc, (a, c)| acc + a * c)
+        })
     }
 }
 

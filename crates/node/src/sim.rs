@@ -865,6 +865,31 @@ mod tests {
     }
 
     #[test]
+    fn nan_amplitude_component_is_a_model_error() {
+        use ehsim_vibration::{Composite, Envelope};
+        struct NanAmplitude;
+        impl VibrationSource for NanAmplitude {
+            fn acceleration(&self, _t: f64) -> f64 {
+                0.0
+            }
+            fn envelope(&self, _t: f64) -> Envelope {
+                Envelope {
+                    freq_hz: 60.0,
+                    amp: f64::NAN,
+                }
+            }
+        }
+        let cfg = NodeConfig::default_node();
+        let src = Composite::new(vec![
+            Box::new(resonant_sine(&cfg, 1.0)),
+            Box::new(NanAmplitude),
+        ])
+        .unwrap();
+        let got = PreparedSimulator::new(cfg).unwrap().run(&src, 60.0);
+        assert!(matches!(got, Err(NodeError::Model(_))), "{got:?}");
+    }
+
+    #[test]
     fn invalid_duration_and_stride() {
         let cfg = NodeConfig::default_node();
         let src = resonant_sine(&cfg, 0.8);

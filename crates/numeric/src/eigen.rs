@@ -21,8 +21,10 @@ pub struct SymmetricEigen {
 /// Computes the eigendecomposition of a symmetric matrix by the cyclic
 /// Jacobi method.
 ///
-/// Only the lower triangle is read; symmetry of the input is the
-/// caller's responsibility.
+/// Both triangles are read: the input is symmetrised as
+/// `0.5 · (a[(i, j)] + a[(j, i)])`, so an asymmetric input is silently
+/// replaced by its symmetric part, and a pair summing past `f64::MAX`
+/// overflows to ±∞ there.
 ///
 /// # Errors
 ///

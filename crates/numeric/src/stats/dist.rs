@@ -166,6 +166,10 @@ impl FisherF {
         if x <= 0.0 {
             return 0.0;
         }
+        if x == f64::INFINITY {
+            // The incomplete-beta argument below would be ∞/∞.
+            return 1.0;
+        }
         beta_inc(
             self.d1 / 2.0,
             self.d2 / 2.0,
@@ -257,6 +261,8 @@ mod tests {
         }
         assert_eq!(f.cdf(-1.0), 0.0);
         assert_eq!(f.sf(0.0), 1.0);
+        assert_eq!(f.cdf(f64::INFINITY), 1.0);
+        assert_eq!(f.sf(f64::INFINITY), 0.0);
     }
 
     #[test]

@@ -171,10 +171,11 @@ impl VibrationSource for Sine {
 }
 
 /// Superposition of several fixed tones; the envelope reports the
-/// strongest one.
+/// strongest one (the last of equally strong tones).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiTone {
     tones: Vec<(f64, f64, f64)>, // (amp, freq, phase)
+    strongest: Envelope,
 }
 
 impl MultiTone {
@@ -185,18 +186,23 @@ impl MultiTone {
     /// [`VibrationError::InvalidArgument`] if no tones are given or any
     /// tone has a negative amplitude / non-positive frequency.
     pub fn new(tones: &[(f64, f64)]) -> Result<Self> {
-        if tones.is_empty() {
+        let Some(&(amp, freq_hz)) = tones.first() else {
             return Err(VibrationError::invalid("at least one tone required"));
-        }
+        };
+        let mut strongest = Envelope { freq_hz, amp };
         for &(a, f) in tones {
             if !(a >= 0.0) || !(f > 0.0) || !a.is_finite() || !f.is_finite() {
                 return Err(VibrationError::invalid(format!(
                     "bad tone (amp={a}, freq={f})"
                 )));
             }
+            if a >= strongest.amp {
+                strongest = Envelope { freq_hz: f, amp: a };
+            }
         }
         Ok(MultiTone {
             tones: tones.iter().map(|&(a, f)| (a, f, 0.0)).collect(),
+            strongest,
         })
     }
 
@@ -224,12 +230,7 @@ impl VibrationSource for MultiTone {
     }
 
     fn envelope(&self, _t: f64) -> Envelope {
-        let &(amp, freq_hz, _) = self
-            .tones
-            .iter()
-            .max_by(|a, b| a.0.partial_cmp(&b.0).expect("finite amplitudes"))
-            .expect("constructor guarantees at least one tone");
-        Envelope { freq_hz, amp }
+        self.strongest
     }
 }
 
@@ -536,7 +537,8 @@ impl VibrationSource for BandNoise {
 }
 
 /// Superposition of sources; the envelope reports the component with the
-/// largest amplitude.
+/// largest amplitude (the last of equally strong components, and any
+/// component whose amplitude is NaN, so that the harvester rejects it).
 pub struct Composite {
     sources: Vec<Box<dyn VibrationSource>>,
 }
@@ -567,11 +569,15 @@ impl VibrationSource for Composite {
     }
 
     fn envelope(&self, t: f64) -> Envelope {
-        self.sources
-            .iter()
-            .map(|s| s.envelope(t))
-            .max_by(|a, b| a.amp.partial_cmp(&b.amp).expect("finite amplitudes"))
-            .expect("constructor guarantees at least one source")
+        // `new` guarantees a first source.
+        let mut strongest = self.sources[0].envelope(t);
+        for s in &self.sources[1..] {
+            let e = s.envelope(t);
+            if e.amp >= strongest.amp || e.amp.is_nan() {
+                strongest = e;
+            }
+        }
+        strongest
     }
 }
 
@@ -1190,6 +1196,56 @@ mod tests {
         assert_eq!(c.envelope(0.0).freq_hz, 60.0);
         assert!(Composite::new(vec![]).is_err());
         assert!(!format!("{c:?}").is_empty());
+    }
+
+    #[test]
+    fn equally_strong_components_report_the_later_one() {
+        let m = MultiTone::new(&[(2.0, 30.0), (1.0, 45.0), (2.0, 60.0)]).unwrap();
+        assert_eq!(
+            m.envelope(0.0),
+            Envelope {
+                freq_hz: 60.0,
+                amp: 2.0
+            }
+        );
+        let c = Composite::new(vec![
+            Box::new(Sine::new(2.0, 30.0).unwrap()),
+            Box::new(Sine::new(2.0, 60.0).unwrap()),
+            Box::new(Sine::new(1.0, 90.0).unwrap()),
+        ])
+        .unwrap();
+        assert_eq!(
+            c.envelope(0.0),
+            Envelope {
+                freq_hz: 60.0,
+                amp: 2.0
+            }
+        );
+    }
+
+    #[test]
+    fn composite_envelope_passes_a_nan_amplitude_on() {
+        struct NanAmplitude;
+        impl VibrationSource for NanAmplitude {
+            fn acceleration(&self, _t: f64) -> f64 {
+                f64::NAN
+            }
+            fn envelope(&self, _t: f64) -> Envelope {
+                Envelope {
+                    freq_hz: 45.0,
+                    amp: f64::NAN,
+                }
+            }
+        }
+        let strong = || Box::new(Sine::new(5.0, 60.0).unwrap());
+        for sources in [
+            vec![Box::new(NanAmplitude) as Box<dyn VibrationSource>, strong()],
+            vec![strong(), Box::new(NanAmplitude)],
+        ] {
+            let e = Composite::new(sources).unwrap().envelope(0.0);
+            assert!(e.amp.is_nan(), "{e:?}");
+            assert_eq!(e.freq_hz, 45.0);
+        }
     }
 
     #[test]
