@@ -4,8 +4,9 @@
 //! The paper's core economic argument: a traditional analogue transient
 //! costs seconds per simulated second; the linearized state-space
 //! engine cuts that by orders of magnitude; the system-level simulator
-//! covers hours cheaply; and once the RSM is built, an evaluation is a
-//! handful of nanoseconds.
+//! covers hours cheaply; and once the RSM is built, evaluating it costs
+//! what the table's last row measures on the host (one prediction,
+//! averaged over a million calls).
 
 use ehsim_bench::{flagship_campaign, frontend_netlist};
 use ehsim_circuit::{LinearizedStateSpaceEngine, NewtonRaphsonEngine, TransientConfig};

@@ -75,8 +75,9 @@ impl AcSweep {
 ///
 /// * [`CircuitError::InvalidNetlist`] for malformed netlists or an
 ///   unknown source name.
-/// * [`CircuitError::InvalidConfig`] for an empty or non-positive
-///   frequency list.
+/// * [`CircuitError::InvalidConfig`] for an empty frequency list, or
+///   one holding a frequency that is not positive, is non-finite (NaN,
+///   `+∞`), or is so large that `ω = 2πf` overflows (e.g. `1e308`).
 /// * Numeric errors for singular configurations.
 pub fn ac_sweep(
     nl: &Netlist,
@@ -85,9 +86,9 @@ pub fn ac_sweep(
     bias: Option<&BTreeMap<String, f64>>,
 ) -> Result<AcSweep> {
     nl.validate()?;
-    if freqs.is_empty() || freqs.iter().any(|f| !(*f > 0.0)) {
+    if freqs.is_empty() || freqs.iter().any(|&f| !(f > 0.0 && omega(f).is_finite())) {
         return Err(CircuitError::InvalidConfig {
-            message: "frequency list must be non-empty and positive".into(),
+            message: "frequency list must be non-empty, with every f > 0 and 2πf finite".into(),
         });
     }
     let driven = nl
@@ -129,7 +130,7 @@ pub fn ac_sweep(
 
     let mut voltages = Vec::with_capacity(freqs.len());
     for &f in freqs {
-        let w = 2.0 * std::f64::consts::PI * f;
+        let w = omega(f);
         let mut a = vec![vec![Complex::default(); dim]; dim];
         let mut rhs = vec![Complex::default(); dim];
         let row_of = |n: crate::netlist::NodeId| -> Option<usize> {
@@ -305,6 +306,11 @@ fn solve_complex(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Co
     Ok(x)
 }
 
+/// The angular frequency `ω = 2πf`.
+fn omega(f: f64) -> f64 {
+    2.0 * std::f64::consts::PI * f
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +467,25 @@ mod tests {
         assert!(ac_sweep(&nl, "V1", &[-1.0], None).is_err());
         assert!(ac_sweep(&nl, "nope", &[1.0], None).is_err());
         assert!(ac_sweep(&nl, "R1", &[1.0], None).is_err());
+    }
+
+    #[test]
+    fn bad_frequencies_are_invalid_config() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.vsource("V1", a, Netlist::GROUND, SourceWaveform::Dc(0.0))
+            .unwrap();
+        nl.resistor("R1", a, Netlist::GROUND, 1.0).unwrap();
+        // 1e308 is finite, but 2π·1e308 overflows to +∞.
+        for f in [f64::INFINITY, 1e308, f64::NAN, 0.0, -1.0] {
+            let got = ac_sweep(&nl, "V1", &[1.0, f], None);
+            assert!(
+                matches!(got, Err(CircuitError::InvalidConfig { .. })),
+                "f = {f:e}: {got:?}"
+            );
+        }
+        // The largest frequencies whose ω is finite still solve.
+        assert!(ac_sweep(&nl, "V1", &[1e307, f64::MAX / 7.0], None).is_ok());
     }
 
     #[test]

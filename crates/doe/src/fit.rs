@@ -66,12 +66,8 @@ pub fn fit(spec: &ModelSpec, points: &[Vec<f64>], responses: &[f64]) -> Result<F
     let coeffs = qr.solve_least_squares(responses)?;
     let xtx_inv = qr.xtx_inverse()?;
 
-    let fitted: Vec<f64> = points
-        .iter()
-        .map(|pt| {
-            let row = spec.expand_point(pt);
-            row.iter().zip(coeffs.iter()).map(|(a, b)| a * b).sum()
-        })
+    let fitted: Vec<f64> = (0..n)
+        .map(|i| x.row(i).iter().zip(coeffs.iter()).map(|(a, b)| a * b).sum())
         .collect();
     let residuals: Vec<f64> = responses
         .iter()
@@ -85,13 +81,13 @@ pub fn fit(spec: &ModelSpec, points: &[Vec<f64>], responses: &[f64]) -> Result<F
     // Leverages h_i = x_iᵀ (XᵀX)⁻¹ x_i and PRESS.
     let mut leverages = Vec::with_capacity(n);
     let mut press = 0.0;
-    for (i, pt) in points.iter().enumerate() {
-        let row = spec.expand_point(pt);
-        let tmp = xtx_inv.matvec(&row)?;
+    for (i, e) in residuals.iter().enumerate() {
+        let row = x.row(i);
+        let tmp = xtx_inv.matvec(row)?;
         let h: f64 = row.iter().zip(tmp.iter()).map(|(a, b)| a * b).sum();
         leverages.push(h);
         let denom = (1.0 - h).max(1e-12);
-        let e_loo = residuals[i] / denom;
+        let e_loo = e / denom;
         press += e_loo * e_loo;
     }
 
@@ -215,12 +211,22 @@ impl FittedModel {
 
     /// Predicts the response at a coded point.
     ///
+    /// The result has the bits of [`ModelSpec::expand_point`]`(x)` ·
+    /// [`coefficients`](Self::coefficients) summed in term order with
+    /// `Iterator::sum`, but no row is built: the monomials come from
+    /// the exponent table the spec built once, and linear, interaction
+    /// and quadratic terms cost multiplies, not `powi` calls.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the number of factors.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        let row = self.spec.expand_point(x);
-        row.iter().zip(self.coeffs.iter()).map(|(a, b)| a * b).sum()
+        assert_eq!(x.len(), self.spec.k(), "dimension mismatch");
+        self.spec
+            .monomials(x)
+            .zip(self.coeffs.iter())
+            .map(|(m, c)| m * c)
+            .sum()
     }
 
     /// Predicts many points at once.

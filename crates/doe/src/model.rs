@@ -3,6 +3,13 @@
 //! A [`Term`] is a monomial over the coded factors (e.g. `x0·x2` or
 //! `x1²`); a [`ModelSpec`] is an ordered list of terms — the columns of
 //! the design matrix that ordinary least squares fits.
+//!
+//! [`ModelSpec::new`] lists every term's non-zero `(factor, exponent)`
+//! pairs once, and model rows and predictions are evaluated from that
+//! list. Exponents 1 and 2 are evaluated as `x` and `x·x`, the bits
+//! `powi` returns for them, so every monomial keeps the bits of a
+//! product of `powi` calls while linear, interaction and quadratic
+//! terms make none.
 
 use crate::{DoeError, Result};
 use ehsim_numeric::Matrix;
@@ -69,11 +76,17 @@ impl Term {
     /// Panics if `x.len() != self.powers().len()`.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.powers.len(), "dimension mismatch");
+        monomial(x, self.factors())
+    }
+
+    /// The `(factor, exponent)` pairs with a non-zero exponent, in
+    /// factor order.
+    fn factors(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
         self.powers
             .iter()
-            .zip(x.iter())
-            .map(|(&p, &xi)| xi.powi(p as i32))
-            .product()
+            .copied()
+            .enumerate()
+            .filter(|&(_, p)| p != 0)
     }
 
     /// Whether `other` is a strict sub-term (divides this monomial) —
@@ -113,11 +126,39 @@ impl fmt::Display for Term {
     }
 }
 
+/// `x^p` with the bits of `x.powi(p)`.
+///
+/// `powi` is binary exponentiation from `1.0`, so it returns `1.0` for
+/// `p = 0`, `1.0·x = x` for `p = 1` and `1.0·(x·x) = x·x` for `p = 2`,
+/// signed zeros, subnormals and infinities included (a NaN stays NaN).
+/// Only those two exponents skip the `powi` call.
+fn power(x: f64, p: u8) -> f64 {
+    match p {
+        1 => x,
+        2 => x * x,
+        _ => x.powi(i32::from(p)),
+    }
+}
+
+/// The monomial `∏ x[i]^p` over `(i, p)` pairs, multiplied in order
+/// from `1.0` as `Iterator::product` does. Leaving out a zero exponent
+/// leaves out a factor of exactly `1.0`, which changes no product.
+fn monomial(x: &[f64], factors: impl IntoIterator<Item = (usize, u8)>) -> f64 {
+    factors
+        .into_iter()
+        .fold(1.0, |acc, (i, p)| acc * power(x[i], p))
+}
+
 /// An ordered set of monomial terms over `k` factors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     k: usize,
     terms: Vec<Term>,
+    /// Every term's non-zero `(factor, exponent)` pairs, in column
+    /// order; column `j` owns `factors[ends[j - 1]..ends[j]]` (from 0
+    /// for `j = 0`).
+    factors: Vec<(usize, u8)>,
+    ends: Vec<usize>,
 }
 
 impl ModelSpec {
@@ -149,7 +190,18 @@ impl ModelSpec {
                 }
             }
         }
-        Ok(ModelSpec { k, terms })
+        let mut factors = Vec::new();
+        let mut ends = Vec::with_capacity(terms.len());
+        for t in &terms {
+            factors.extend(t.factors());
+            ends.push(factors.len());
+        }
+        Ok(ModelSpec {
+            k,
+            terms,
+            factors,
+            ends,
+        })
     }
 
     /// First-order model: intercept + all linear terms.
@@ -213,6 +265,17 @@ impl ModelSpec {
         &self.terms
     }
 
+    /// The model row at `x`, column by column, from the exponent table
+    /// built in [`ModelSpec::new`]. Callers check `x.len() == self.k()`.
+    pub(crate) fn monomials<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let m = monomial(x, self.factors[start..end].iter().copied());
+            start = end;
+            m
+        })
+    }
+
     /// Expands one point into a model-matrix row.
     ///
     /// # Panics
@@ -220,7 +283,7 @@ impl ModelSpec {
     /// Panics if `x.len() != self.k()`.
     pub fn expand_point(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.k, "dimension mismatch");
-        self.terms.iter().map(|t| t.eval(x)).collect()
+        self.monomials(x).collect()
     }
 
     /// Expands a set of points into the design (model) matrix.
@@ -229,6 +292,7 @@ impl ModelSpec {
     ///
     /// [`DoeError::InvalidArgument`] if any point has the wrong arity.
     pub fn design_matrix(&self, points: &[Vec<f64>]) -> Result<Matrix> {
+        let mut data = Vec::with_capacity(points.len() * self.terms.len());
         for (i, p) in points.iter().enumerate() {
             if p.len() != self.k {
                 return Err(DoeError::invalid(format!(
@@ -237,11 +301,9 @@ impl ModelSpec {
                     self.k
                 )));
             }
+            data.extend(self.monomials(p));
         }
-        let rows: Vec<Vec<f64>> = points.iter().map(|p| self.expand_point(p)).collect();
-        Ok(Matrix::from_fn(points.len(), self.terms.len(), |i, j| {
-            rows[i][j]
-        }))
+        Ok(Matrix::from_vec(points.len(), self.terms.len(), data)?)
     }
 
     /// Returns a copy with the given term removed.
