@@ -207,20 +207,17 @@ fn run(duration_s: f64, threads: usize, out_dir: PathBuf) {
         );
     }
 
-    let gain = |arm: &Arm, s: usize| {
-        100.0 * (arm.per_scenario[s].0 / static_arm.per_scenario[s].0.max(1e-9) - 1.0)
-    };
     let thr = &arms[1];
+    let gains: Vec<f64> = (0..n_scen)
+        .map(|s| 100.0 * (thr.per_scenario[s].0 / static_arm.per_scenario[s].0.max(1e-9) - 1.0))
+        .collect();
     println!(
-        "\nunder the same {MARGIN_FLOOR_V} V per-scenario margin floor, DoE-optimised \
-         adaptive throttling delivers {:+.0}% expected packets vs the best static \
-         tuning, with the largest wins in the non-stationary environments \
-         (fading {:+.0}%, intermittent {:+.0}%): a static tuning must be sized for \
-         the leanest environment it has to survive, while the runtime policy buys \
-         back the rich ones.",
-        100.0 * (thr.mean_packets / static_arm.mean_packets.max(1e-9) - 1.0),
-        gain(thr, n_scen - 2),
-        gain(thr, n_scen - 1),
+        "\n{}",
+        verdict(
+            100.0 * (thr.mean_packets / static_arm.mean_packets.max(1e-9) - 1.0),
+            &labels,
+            &gains,
+        )
     );
 
     // CSV artefact (no wall-clock values anywhere).
@@ -249,6 +246,33 @@ fn run(duration_s: f64, threads: usize, out_dir: PathBuf) {
     println!("\nwrote {} ({} rows)", path.display(), csv_rows.len());
 }
 
+/// The closing sentence, read off the verified table: the threshold
+/// arm's weighted-mean packet gain over the static tuning, then the (at
+/// most two) scenarios with the largest per-scenario gains, each with
+/// its sign, whichever environments those are.
+fn verdict(mean_gain_pct: f64, labels: &[String], gains_pct: &[f64]) -> String {
+    let mut order: Vec<usize> = (0..gains_pct.len().min(labels.len())).collect();
+    order.sort_by(|&a, &b| gains_pct[b].total_cmp(&gains_pct[a]));
+    let largest: Vec<String> = order
+        .iter()
+        .take(2)
+        .map(|&s| format!("{} ({:+.0}%)", labels[s], gains_pct[s]))
+        .collect();
+    let head = format!(
+        "under the same {MARGIN_FLOOR_V} V per-scenario margin floor, DoE-optimised \
+         adaptive throttling delivers {mean_gain_pct:+.0}% expected packets vs the best \
+         static tuning"
+    );
+    match largest.as_slice() {
+        [] => format!("{head}."),
+        [one] => format!("{head}; its per-scenario gain is {one}."),
+        _ => format!(
+            "{head}; its largest per-scenario gains are in {}.",
+            largest.join(" and ")
+        ),
+    }
+}
+
 #[cfg(test)]
 mod smoke {
     #[test]
@@ -268,5 +292,36 @@ mod smoke {
         let mut lines = text.lines();
         assert_eq!(lines.next().expect("header"), super::CSV_HEADER.join(","));
         assert_eq!(lines.count(), 3 * 8, "unexpected row count");
+    }
+
+    #[test]
+    fn verdict_names_the_largest_measured_gains() {
+        let labels = [
+            "stationary-64Hz",
+            "drifting",
+            "fading-64Hz",
+            "intermittent-64Hz",
+        ]
+        .map(String::from);
+        // A stationary environment gains most; a non-stationary one loses.
+        let v = super::verdict(12.4, &labels, &[31.0, 2.0, 9.6, -7.0]);
+        assert!(v.contains("+12% expected packets"), "{v}");
+        assert!(
+            v.contains("gains are in stationary-64Hz (+31%) and fading-64Hz (+10%)."),
+            "{v}"
+        );
+        assert!(!v.contains("intermittent"), "{v}");
+        // Every gain negative: the signs are printed as measured.
+        let v = super::verdict(-5.0, &labels[2..], &[-3.0, -8.0]);
+        assert!(v.contains("-5% expected packets"), "{v}");
+        assert!(
+            v.contains("fading-64Hz (-3%) and intermittent-64Hz (-8%)"),
+            "{v}"
+        );
+        let v = super::verdict(1.0, &labels[..1], &[1.0]);
+        assert!(
+            v.ends_with("its per-scenario gain is stationary-64Hz (+1%)."),
+            "{v}"
+        );
     }
 }

@@ -1,12 +1,13 @@
 //! Experiment E2 — Table: CPU time of one design-point evaluation at
 //! each level of the simulation/modelling hierarchy.
 //!
-//! The paper's core economic argument: a traditional analogue transient
-//! costs seconds per simulated second; the linearized state-space
-//! engine cuts that by orders of magnitude; the system-level simulator
-//! covers hours cheaply; and once the RSM is built, evaluating it costs
-//! what the table's last row measures on the host (one prediction,
-//! averaged over a million calls).
+//! The paper's core economic argument, measured level by level on the
+//! host: a Newton–Raphson transient of the circuit-level front end, the
+//! linearized state-space transient of the same netlist, a system-level
+//! simulation of an hour, and one prediction of the fitted RSM
+//! (averaged over a million calls). The table states each cost and the
+//! ratios between them; this binary claims no figure it does not
+//! measure.
 
 use ehsim_bench::{flagship_campaign, frontend_netlist};
 use ehsim_circuit::{LinearizedStateSpaceEngine, NewtonRaphsonEngine, TransientConfig};

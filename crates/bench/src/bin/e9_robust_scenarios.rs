@@ -126,11 +126,7 @@ fn run(duration_s: f64, threads: usize, out_dir: PathBuf) {
         "\nworst-case robust optimum beats every single-scenario optimum on the \
          guaranteed packets/hour floor: {dominated}"
     );
-    println!(
-        "a tuning chased for one environment pays for it in the others; the \
-         min-max tuning gives up a little peak rate for a floor that holds \
-         across the whole ensemble."
-    );
+    println!("{}", verdict(&summary, n_scen));
 
     let path = out_dir.join("e9_robust_scenarios.csv");
     write_labeled_csv(
@@ -149,6 +145,44 @@ fn run(duration_s: f64, threads: usize, out_dir: PathBuf) {
     println!("\nwrote {} ({} rows)", path.display(), csv_rows.len());
 }
 
+/// The closing sentence, read off the verified summary rows (label,
+/// worst, mean, min margin; the `n_scen` single-scenario optima, then
+/// the weighted-mean and the worst-case robust optima). The min-max
+/// trade-off is claimed only when the table shows both halves of it:
+/// the worst-case optimum's floor is at least every single-scenario
+/// optimum's, and its mean is below the best single-scenario mean.
+fn verdict(summary: &[(String, f64, f64, f64)], n_scen: usize) -> String {
+    let (singles, robust) = summary.split_at(n_scen.min(summary.len()));
+    let Some((_, robust_worst, robust_mean, _)) = robust.get(1) else {
+        return "the table has no worst-case robust optimum to compare.".into();
+    };
+    if let Some((label, worst, _, _)) = singles.iter().find(|row| !(*robust_worst >= row.1)) {
+        return format!(
+            "the min-max tuning does not hold the highest floor: {label} keeps \
+             {worst:.1} packets/hour in its worst scenario, the min-max tuning \
+             {robust_worst:.1}."
+        );
+    }
+    let best_mean = singles
+        .iter()
+        .map(|row| row.2)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if *robust_mean < best_mean {
+        format!(
+            "a tuning chased for one environment pays for it in the others; the \
+             min-max tuning gives up peak rate (mean {robust_mean:.1} vs \
+             {best_mean:.1} packets/hour) for a floor that holds across the whole \
+             ensemble ({robust_worst:.1} packets/hour)."
+        )
+    } else {
+        format!(
+            "the min-max tuning holds the highest floor ({robust_worst:.1} \
+             packets/hour) and gives up no mean rate: its mean {robust_mean:.1} \
+             packets/hour is at least every single-scenario optimum's."
+        )
+    }
+}
+
 #[cfg(test)]
 mod smoke {
     #[test]
@@ -163,5 +197,40 @@ mod smoke {
         let b = std::fs::read(out_b.join("e9_robust_scenarios.csv")).expect("csv b");
         assert!(!a.is_empty());
         assert_eq!(a, b, "e9 CSV must be bit-identical across invocations");
+    }
+
+    #[test]
+    fn verdict_follows_the_table() {
+        let table = |rows: [(f64, f64); 4]| -> Vec<(String, f64, f64, f64)> {
+            let labels = ["best-for/a", "best-for/b", "robust/mean", "robust/worst"];
+            labels
+                .iter()
+                .zip(rows)
+                .map(|(l, (worst, mean))| (l.to_string(), worst, mean, 0.1))
+                .collect()
+        };
+        // Higher floor, lower mean: the trade-off sentence holds.
+        let v = super::verdict(
+            &table([(10.0, 90.0), (20.0, 80.0), (25.0, 85.0), (30.0, 70.0)]),
+            2,
+        );
+        assert!(v.contains("for a floor that holds"), "{v}");
+        assert!(v.contains("mean 70.0 vs 90.0"), "{v}");
+        // A single-scenario optimum keeps a higher floor.
+        let v = super::verdict(
+            &table([(10.0, 90.0), (40.0, 80.0), (25.0, 85.0), (30.0, 70.0)]),
+            2,
+        );
+        assert!(
+            v.contains("does not hold the highest floor: best-for/b keeps 40.0"),
+            "{v}"
+        );
+        // Highest floor at no cost in mean rate.
+        let v = super::verdict(
+            &table([(10.0, 60.0), (20.0, 65.0), (25.0, 85.0), (30.0, 70.0)]),
+            2,
+        );
+        assert!(v.contains("gives up no mean rate"), "{v}");
+        assert!(!v.contains("floor that holds"), "{v}");
     }
 }

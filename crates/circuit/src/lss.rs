@@ -690,7 +690,7 @@ impl LinearizedStateSpaceEngine {
             z[..ns].copy_from_slice(&x);
             prep.inputs_at(0.0, &mut z[ns..ns + nu]);
             let vals = Self::eval_probes(topo, &z);
-            result.push(0.0, &vals);
+            result.push(0.0, &vals)?;
         }
 
         let n_steps = cfg.steps();
@@ -834,7 +834,7 @@ impl LinearizedStateSpaceEngine {
                 z[..ns].copy_from_slice(&x);
                 prep.inputs_at(t1, &mut z[ns..ns + nu]);
                 let vals = Self::eval_probes(topo, &z);
-                result.push(t1, &vals);
+                result.push(t1, &vals)?;
             }
         }
 

@@ -30,7 +30,7 @@ pub struct MnaBuilder {
 }
 
 /// Solution of an MNA system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MnaSolution {
     /// Node voltages indexed by `NodeId` (entry 0, ground, is 0).
     pub v: Vec<f64>,
@@ -68,10 +68,11 @@ impl MnaBuilder {
         self.n_nodes - 1 + self.n_branches
     }
 
-    /// Resets all stamps to zero, keeping the layout.
+    /// Resets all stamps to zero in place, keeping the layout and the
+    /// buffers.
     pub fn clear(&mut self) {
-        self.g = Matrix::zeros(self.dim(), self.dim());
-        self.rhs.iter_mut().for_each(|v| *v = 0.0);
+        self.g.as_mut_slice().fill(0.0);
+        self.rhs.fill(0.0);
     }
 
     /// Clears only the right-hand side (stamps of sources/history), so a
@@ -196,15 +197,29 @@ impl MnaBuilder {
     ///
     /// Propagates numeric errors (dimension mismatch).
     pub fn solve_with(&self, lu: &Lu) -> Result<MnaSolution> {
-        let x = lu.solve(&self.rhs)?;
-        Ok(self.unpack(x))
+        let mut x = vec![0.0; self.dim()];
+        let mut sol = MnaSolution::default();
+        self.solve_into(lu, &mut x, &mut sol)?;
+        Ok(sol)
     }
 
-    fn unpack(&self, x: Vec<f64>) -> MnaSolution {
-        let mut v = vec![0.0; self.n_nodes];
-        v[1..self.n_nodes].copy_from_slice(&x[..self.n_nodes - 1]);
-        let i_branch = x[self.n_nodes - 1..].to_vec();
-        MnaSolution { v, i_branch }
+    /// [`MnaBuilder::solve_with`] into caller-owned buffers: `x` holds
+    /// the raw unknowns and `sol` receives them unpacked. Once `sol` has
+    /// been sized by a first call, this allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates numeric errors (dimension mismatch, including an `x`
+    /// whose length is not [`MnaBuilder::dim`]).
+    pub fn solve_into(&self, lu: &Lu, x: &mut [f64], sol: &mut MnaSolution) -> Result<()> {
+        lu.solve_into(&self.rhs, x)?;
+        let (v, i_branch) = x.split_at(self.n_nodes - 1);
+        sol.v.clear();
+        sol.v.push(0.0);
+        sol.v.extend_from_slice(v);
+        sol.i_branch.clear();
+        sol.i_branch.extend_from_slice(i_branch);
+        Ok(())
     }
 }
 
@@ -284,9 +299,43 @@ mod tests {
     fn dim_and_clear() {
         let mut b = MnaBuilder::new(4, 2);
         assert_eq!(b.dim(), 5);
-        b.stamp_conductance(nid(1), nid(0), 1.0);
+        b.stamp_conductance(nid(1), nid(0), -1.0);
+        b.stamp_current_source(nid(1), nid(0), f64::NAN);
         b.clear();
-        assert_eq!(b.matrix().norm_max(), 0.0);
-        assert!(b.rhs().iter().all(|&v| v == 0.0));
+        // Every entry is +0.0 again, as in a fresh builder.
+        let fresh = MnaBuilder::new(4, 2);
+        let bits = |m: &MnaBuilder| -> Vec<u64> {
+            m.matrix()
+                .as_slice()
+                .iter()
+                .chain(m.rhs())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&b), bits(&fresh));
+    }
+
+    #[test]
+    fn reused_buffers_solve_like_fresh_ones() {
+        let mut b = MnaBuilder::new(3, 1);
+        let mut lu = Lu::default();
+        let mut x = vec![0.0; b.dim()];
+        let mut sol = MnaSolution::default();
+        for v_src in [1.0, -2.5, 0.0] {
+            b.clear();
+            b.stamp_conductance(nid(1), nid(2), 1e-3);
+            b.stamp_conductance(nid(2), nid(0), 2e-3);
+            b.stamp_branch_incidence(0, nid(1), nid(0));
+            b.set_branch_rhs(0, v_src);
+            lu.refactor(b.matrix()).unwrap();
+            b.solve_into(&lu, &mut x, &mut sol).unwrap();
+            let fresh = b.solve().unwrap();
+            let bits = |s: &MnaSolution| -> Vec<u64> {
+                s.v.iter().chain(&s.i_branch).map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&sol), bits(&fresh));
+        }
+        let mut short = vec![0.0; 2];
+        assert!(b.solve_into(&lu, &mut short, &mut sol).is_err());
     }
 }

@@ -7,12 +7,22 @@
 //! as the reason simulation-driven optimisation of a whole sensor node is
 //! impractical. The [`crate::lss::LinearizedStateSpaceEngine`] removes
 //! that cost; benchmarks compare the two.
+//!
+//! That one factorisation per iteration is kept on purpose, and each is
+//! counted in [`SimStats::lu_factorizations`]. What the loop does not
+//! pay is allocation: one run owns one workspace (the MNA builder,
+//! the LU factors, the solution, the previous iterate, the companion
+//! parameters and the step-halving snapshot), zeroed and refilled in
+//! place, so every step and iteration after the first reuses the same
+//! buffers. The arithmetic, and so every output bit, is what a fresh
+//! builder and factorisation per iteration would give.
 
 use crate::mna::{MnaBuilder, MnaSolution};
 use crate::netlist::{DiodeModel, ElementKind, Netlist, NodeId};
 use crate::probe::{Probe, SimStats, TransientResult};
 use crate::waveform::SourceWaveform;
 use crate::{CircuitError, Result, TransientConfig};
+use ehsim_numeric::Lu;
 // lint:allow(D2): wall-clock feeds the reporting-only `wall` duration, never result bytes
 use std::time::Instant;
 
@@ -60,6 +70,8 @@ struct DiodeState {
     a: NodeId,
     c: NodeId,
     model: DiodeModel,
+    /// The model's critical voltage for junction limiting.
+    vcrit: f64,
     v: f64,
 }
 
@@ -172,6 +184,8 @@ impl Prep {
                     a: *anode,
                     c: *cathode,
                     model: *model,
+                    vcrit: model.n_vt
+                        * (model.n_vt / (std::f64::consts::SQRT_2 * model.i_sat)).ln(),
                     v: 0.0,
                 }),
                 ElementKind::VoltageSource { plus, minus, wave } => {
@@ -336,6 +350,54 @@ fn pnjlim(vnew: f64, vold: f64, vt: f64, vcrit: f64) -> f64 {
     }
 }
 
+/// The buffers one NR run reuses for every step and iteration.
+struct Workspace {
+    /// The MNA system, zeroed and re-stamped on every iteration.
+    mna: MnaBuilder,
+    /// The factors of the last stamped system.
+    lu: Lu,
+    /// Raw unknowns of the last solve.
+    x: Vec<f64>,
+    /// The last solve, unpacked.
+    sol: MnaSolution,
+    /// Node voltages of the previous iteration.
+    v_prev: Vec<f64>,
+    /// Companion conductances and history currents of the step.
+    cap_g: Vec<f64>,
+    cap_hist: Vec<f64>,
+    ind_g: Vec<f64>,
+    ind_hist: Vec<f64>,
+    /// Limited diode voltages of the current iteration.
+    diode_v: Vec<f64>,
+    /// States at the start of the step being attempted, for rolling a
+    /// failed attempt back before it is halved.
+    snap_caps: Vec<(f64, f64)>,
+    snap_inds: Vec<(f64, f64)>,
+    snap_diodes: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(prep: &Prep) -> Self {
+        let mna = MnaBuilder::new(prep.n_nodes, prep.n_branches);
+        let x = vec![0.0; mna.dim()];
+        Workspace {
+            mna,
+            lu: Lu::default(),
+            x,
+            sol: MnaSolution::default(),
+            v_prev: Vec::new(),
+            cap_g: Vec::new(),
+            cap_hist: Vec::new(),
+            ind_g: Vec::new(),
+            ind_hist: Vec::new(),
+            diode_v: Vec::new(),
+            snap_caps: Vec::new(),
+            snap_inds: Vec::new(),
+            snap_diodes: Vec::new(),
+        }
+    }
+}
+
 impl NewtonRaphsonEngine {
     /// Runs a transient analysis.
     ///
@@ -343,6 +405,7 @@ impl NewtonRaphsonEngine {
     ///
     /// * [`CircuitError::InvalidNetlist`] for malformed netlists.
     /// * [`CircuitError::UnknownProbe`] for unresolvable probes.
+    /// * [`CircuitError::InvalidConfig`] if `max_iterations` is 0.
     /// * [`CircuitError::NoConvergence`] if NR fails even after the
     ///   configured number of step halvings.
     pub fn simulate(
@@ -356,15 +419,25 @@ impl NewtonRaphsonEngine {
         let resolved = prep.resolve_probes(nl, probes)?;
         let mut result = TransientResult::new(probes.iter().map(|p| p.signal_name()).collect());
         let mut stats = SimStats::default();
+        let mut work = Workspace::new(&prep);
+        let mut vals = Vec::with_capacity(resolved.len());
 
         // Initial solution (t = 0): solve the resistive snapshot with the
         // initial states frozen, mainly so probes at t = 0 are sensible.
-        let mut sol = self.solve_step(&mut prep, 0.0, f64::MIN_POSITIVE, &mut stats, true)?;
-        let vals: Vec<f64> = resolved
-            .iter()
-            .map(|rp| prep.eval_probe(rp, &sol, 0.0))
-            .collect();
-        result.push(0.0, &vals);
+        self.solve_step(
+            &mut prep,
+            &mut work,
+            0.0,
+            f64::MIN_POSITIVE,
+            &mut stats,
+            true,
+        )?;
+        vals.extend(
+            resolved
+                .iter()
+                .map(|rp| prep.eval_probe(rp, &work.sol, 0.0)),
+        );
+        result.push(0.0, &vals)?;
 
         let n_steps = cfg.steps();
         for k in 0..n_steps {
@@ -374,14 +447,12 @@ impl NewtonRaphsonEngine {
             if h <= 0.0 {
                 break;
             }
-            sol = self.advance(&mut prep, t0, h, 0, &mut stats)?;
+            self.advance(&mut prep, &mut work, t0, h, 0, &mut stats)?;
             stats.steps += 1;
             if (k + 1) % cfg.record_stride == 0 || k + 1 == n_steps {
-                let vals: Vec<f64> = resolved
-                    .iter()
-                    .map(|rp| prep.eval_probe(rp, &sol, t1))
-                    .collect();
-                result.push(t1, &vals);
+                vals.clear();
+                vals.extend(resolved.iter().map(|rp| prep.eval_probe(rp, &work.sol, t1)));
+                result.push(t1, &vals)?;
             }
         }
         stats.wall = start.elapsed();
@@ -390,100 +461,127 @@ impl NewtonRaphsonEngine {
     }
 
     /// Advances the states from `t0` by `h`, recursively halving the
-    /// step on convergence failure.
+    /// step on convergence failure. The solution lands in `work.sol`.
     fn advance(
         &self,
         prep: &mut Prep,
+        work: &mut Workspace,
         t0: f64,
         h: f64,
         depth: usize,
         stats: &mut SimStats,
-    ) -> Result<MnaSolution> {
-        // Snapshot states so a failed attempt can be rolled back.
-        let snapshot: (Vec<(f64, f64)>, Vec<(f64, f64)>, Vec<f64>) = (
-            prep.caps.iter().map(|c| (c.v, c.i)).collect(),
-            prep.inds.iter().map(|l| (l.i, l.v)).collect(),
-            prep.diodes.iter().map(|d| d.v).collect(),
-        );
-        match self.solve_step(prep, t0 + h, h, stats, false) {
-            Ok(sol) => Ok(sol),
+    ) -> Result<()> {
+        // Snapshot states so a failed attempt can be rolled back. The
+        // snapshot is read only before the halves run, so one buffer
+        // serves every depth.
+        work.snap_caps.clear();
+        work.snap_caps.extend(prep.caps.iter().map(|c| (c.v, c.i)));
+        work.snap_inds.clear();
+        work.snap_inds.extend(prep.inds.iter().map(|l| (l.i, l.v)));
+        work.snap_diodes.clear();
+        work.snap_diodes.extend(prep.diodes.iter().map(|d| d.v));
+        match self.solve_step(prep, work, t0 + h, h, stats, false) {
+            Ok(()) => Ok(()),
             Err(CircuitError::NoConvergence { .. }) if depth < self.max_step_halvings => {
                 // Roll back and take two half steps.
-                for (c, (v, i)) in prep.caps.iter_mut().zip(&snapshot.0) {
+                for (c, (v, i)) in prep.caps.iter_mut().zip(&work.snap_caps) {
                     c.v = *v;
                     c.i = *i;
                 }
-                for (l, (i, v)) in prep.inds.iter_mut().zip(&snapshot.1) {
+                for (l, (i, v)) in prep.inds.iter_mut().zip(&work.snap_inds) {
                     l.i = *i;
                     l.v = *v;
                 }
-                for (d, v) in prep.diodes.iter_mut().zip(&snapshot.2) {
+                for (d, v) in prep.diodes.iter_mut().zip(&work.snap_diodes) {
                     d.v = *v;
                 }
-                self.advance(prep, t0, h / 2.0, depth + 1, stats)?;
-                self.advance(prep, t0 + h / 2.0, h / 2.0, depth + 1, stats)
+                self.advance(prep, work, t0, h / 2.0, depth + 1, stats)?;
+                self.advance(prep, work, t0 + h / 2.0, h / 2.0, depth + 1, stats)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// One implicit trapezoidal step ending at `t_new`. When `freeze` is
-    /// true the states are not advanced (used for the `t = 0` snapshot:
-    /// companion history terms hold the states in place).
+    /// One implicit trapezoidal step ending at `t_new`, solved into
+    /// `work.sol`. When `freeze` is true the states are not advanced
+    /// (used for the `t = 0` snapshot: companion history terms hold the
+    /// states in place).
     fn solve_step(
         &self,
         prep: &mut Prep,
+        work: &mut Workspace,
         t_new: f64,
         h: f64,
         stats: &mut SimStats,
         freeze: bool,
-    ) -> Result<MnaSolution> {
-        // Companion parameters (constant within the step).
-        let cap_g: Vec<f64> = prep.caps.iter().map(|c| 2.0 * c.c / h).collect();
-        let cap_hist: Vec<f64> = prep
-            .caps
-            .iter()
-            .zip(&cap_g)
-            .map(|(c, g)| -g * c.v - c.i)
-            .collect();
-        let ind_g: Vec<f64> = prep.inds.iter().map(|l| h / (2.0 * l.l)).collect();
-        let ind_hist: Vec<f64> = prep
-            .inds
-            .iter()
-            .zip(&ind_g)
-            .map(|(l, g)| l.i + g * l.v)
-            .collect();
-        // For the frozen snapshot use huge impedances on the state
-        // elements so they behave as sources of their initial condition.
-        let (cap_g, cap_hist, ind_g, ind_hist) = if freeze {
-            let cg: Vec<f64> = prep.caps.iter().map(|c| 1e12 * c.c.max(1e-12)).collect();
-            let ch: Vec<f64> = prep.caps.iter().zip(&cg).map(|(c, g)| -g * c.v).collect();
-            let ig: Vec<f64> = prep.inds.iter().map(|_| 1e-12).collect();
-            let ih: Vec<f64> = prep.inds.iter().map(|l| l.i).collect();
-            (cg, ch, ig, ih)
-        } else {
-            (cap_g, cap_hist, ind_g, ind_hist)
-        };
+    ) -> Result<()> {
+        if self.max_iterations == 0 {
+            return Err(CircuitError::InvalidConfig {
+                message: "newton-raphson needs max_iterations >= 1".into(),
+            });
+        }
+        let Workspace {
+            mna: b,
+            lu,
+            x,
+            sol,
+            v_prev,
+            cap_g,
+            cap_hist,
+            ind_g,
+            ind_hist,
+            diode_v,
+            ..
+        } = work;
 
-        let mut diode_v: Vec<f64> = prep.diodes.iter().map(|d| d.v).collect();
-        let mut v_prev: Option<Vec<f64>> = None;
-        let mut last_sol: Option<MnaSolution> = None;
+        // Companion parameters (constant within the step). For the
+        // frozen snapshot use huge impedances on the state elements so
+        // they behave as sources of their initial condition.
+        cap_g.clear();
+        cap_hist.clear();
+        ind_g.clear();
+        ind_hist.clear();
+        if freeze {
+            cap_g.extend(prep.caps.iter().map(|c| 1e12 * c.c.max(1e-12)));
+            cap_hist.extend(prep.caps.iter().zip(cap_g.iter()).map(|(c, g)| -g * c.v));
+            ind_g.extend(prep.inds.iter().map(|_| 1e-12));
+            ind_hist.extend(prep.inds.iter().map(|l| l.i));
+        } else {
+            cap_g.extend(prep.caps.iter().map(|c| 2.0 * c.c / h));
+            cap_hist.extend(
+                prep.caps
+                    .iter()
+                    .zip(cap_g.iter())
+                    .map(|(c, g)| -g * c.v - c.i),
+            );
+            ind_g.extend(prep.inds.iter().map(|l| h / (2.0 * l.l)));
+            ind_hist.extend(
+                prep.inds
+                    .iter()
+                    .zip(ind_g.iter())
+                    .map(|(l, g)| l.i + g * l.v),
+            );
+        }
+
+        diode_v.clear();
+        diode_v.extend(prep.diodes.iter().map(|d| d.v));
+        let mut have_prev = false;
 
         for _iter in 0..self.max_iterations {
             stats.nr_iterations += 1;
-            let mut b = MnaBuilder::new(prep.n_nodes, prep.n_branches);
+            b.clear();
             for r in &prep.resistors {
                 b.stamp_conductance(r.a, r.b, r.g);
             }
-            for (c, (g, hist)) in prep.caps.iter().zip(cap_g.iter().zip(&cap_hist)) {
+            for (c, (g, hist)) in prep.caps.iter().zip(cap_g.iter().zip(cap_hist.iter())) {
                 b.stamp_conductance(c.a, c.b, *g);
                 b.stamp_current_source(c.a, c.b, *hist);
             }
-            for (l, (g, hist)) in prep.inds.iter().zip(ind_g.iter().zip(&ind_hist)) {
+            for (l, (g, hist)) in prep.inds.iter().zip(ind_g.iter().zip(ind_hist.iter())) {
                 b.stamp_conductance(l.a, l.b, *g);
                 b.stamp_current_source(l.a, l.b, *hist);
             }
-            for (d, vd) in prep.diodes.iter().zip(&diode_v) {
+            for (d, vd) in prep.diodes.iter().zip(diode_v.iter()) {
                 let g = d.model.conductance(*vd);
                 let i_eq = d.model.current(*vd) - g * vd;
                 b.stamp_conductance(d.a, d.c, g);
@@ -507,53 +605,46 @@ impl NewtonRaphsonEngine {
             }
 
             stats.lu_factorizations += 1;
-            let lu = b.factor()?;
+            lu.refactor(b.matrix())?;
             stats.lu_solves += 1;
-            let sol = b.solve_with(&lu)?;
+            b.solve_into(lu, x, sol)?;
 
             // Limit diode voltage updates.
             let mut d_delta: f64 = 0.0;
             for (d, vd) in prep.diodes.iter().zip(diode_v.iter_mut()) {
                 let raw = sol.voltage_between(d.a, d.c);
-                let vcrit =
-                    d.model.n_vt * (d.model.n_vt / (std::f64::consts::SQRT_2 * d.model.i_sat)).ln();
-                let limited = pnjlim(raw, *vd, d.model.n_vt, vcrit);
+                let limited = pnjlim(raw, *vd, d.model.n_vt, d.vcrit);
                 d_delta = d_delta.max((limited - *vd).abs());
                 *vd = limited;
             }
 
             // Node voltage convergence.
-            let converged_nodes = match &v_prev {
-                None => false,
-                Some(prev) => {
-                    let mut ok = true;
-                    for (new, old) in sol.v.iter().zip(prev.iter()) {
-                        let tol = self.v_abstol + self.v_reltol * new.abs().max(old.abs());
-                        if (new - old).abs() > tol {
-                            ok = false;
-                            break;
-                        }
+            let converged_nodes = have_prev && {
+                let mut ok = true;
+                for (new, old) in sol.v.iter().zip(v_prev.iter()) {
+                    let tol = self.v_abstol + self.v_reltol * new.abs().max(old.abs());
+                    if (new - old).abs() > tol {
+                        ok = false;
+                        break;
                     }
-                    ok
                 }
+                ok
             };
             let converged_diodes = d_delta < 1e-6 + 1e-4 * 0.3;
-            v_prev = Some(sol.v.clone());
-            last_sol = Some(sol);
+            v_prev.clear();
+            v_prev.extend_from_slice(&sol.v);
+            have_prev = true;
             if converged_nodes && converged_diodes {
                 break;
             }
         }
 
-        let sol = last_sol.ok_or_else(|| CircuitError::InvalidConfig {
-            message: "newton-raphson needs max_iterations >= 1".into(),
-        })?;
         let converged = {
             // Re-check: if the loop exhausted iterations without meeting
             // tolerance, v_prev equals the last solution so compare the
             // final diode deltas instead.
             let mut ok = true;
-            for (d, vd) in prep.diodes.iter().zip(&diode_v) {
+            for (d, vd) in prep.diodes.iter().zip(diode_v.iter()) {
                 let raw = sol.voltage_between(d.a, d.c);
                 if (raw - vd).abs() > 1e-3 {
                     ok = false;
@@ -580,11 +671,11 @@ impl NewtonRaphsonEngine {
                 l.i = ind_g[k] * v_new + ind_hist[k];
                 l.v = v_new;
             }
-            for (d, vd) in prep.diodes.iter_mut().zip(&diode_v) {
+            for (d, vd) in prep.diodes.iter_mut().zip(diode_v.iter()) {
                 d.v = *vd;
             }
         }
-        Ok(sol)
+        Ok(())
     }
 }
 

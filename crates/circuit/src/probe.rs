@@ -1,6 +1,7 @@
 //! Probes, results, and performance counters for transient analyses.
 
 use crate::{CircuitError, Result};
+use ehsim_numeric::NumericError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -124,15 +125,24 @@ impl TransientResult {
 
     /// Appends one sample row.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `values.len()` differs from the number of signals.
-    pub(crate) fn push(&mut self, t: f64, values: &[f64]) {
-        assert_eq!(values.len(), self.data.len(), "sample width mismatch");
+    /// [`CircuitError::Numeric`] with a dimension mismatch if
+    /// `values.len()` differs from the number of signals; nothing is
+    /// recorded then.
+    pub(crate) fn push(&mut self, t: f64, values: &[f64]) -> Result<()> {
+        if values.len() != self.data.len() {
+            return Err(NumericError::dimension(
+                format!("{} samples per row", self.data.len()),
+                format!("{}", values.len()),
+            )
+            .into());
+        }
         self.time.push(t);
         for (col, &v) in self.data.iter_mut().zip(values.iter()) {
             col.push(v);
         }
+        Ok(())
     }
 
     /// The time axis.
@@ -229,8 +239,8 @@ mod tests {
     #[test]
     fn result_push_and_query() {
         let mut r = TransientResult::new(vec!["v(a)".into(), "i(R)".into()]);
-        r.push(0.0, &[1.0, 2.0]);
-        r.push(1.0, &[3.0, 4.0]);
+        r.push(0.0, &[1.0, 2.0]).unwrap();
+        r.push(1.0, &[3.0, 4.0]).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.signal("v(a)").unwrap(), &[1.0, 3.0]);
         assert_eq!(r.signal("i(R)").unwrap(), &[2.0, 4.0]);
@@ -240,19 +250,32 @@ mod tests {
     }
 
     #[test]
+    fn push_of_the_wrong_width_is_an_error_and_records_nothing() {
+        let mut r = TransientResult::new(vec!["v(a)".into(), "i(R)".into()]);
+        for row in [&[1.0][..], &[1.0, 2.0, 3.0], &[]] {
+            assert!(matches!(
+                r.push(0.0, row),
+                Err(CircuitError::Numeric(NumericError::Dimension { .. }))
+            ));
+        }
+        assert!(r.is_empty());
+        assert_eq!(r.signal("v(a)"), Some(&[][..]));
+    }
+
+    #[test]
     fn integral_is_trapezoidal() {
         let mut r = TransientResult::new(vec!["p".into()]);
-        r.push(0.0, &[0.0]);
-        r.push(1.0, &[2.0]);
-        r.push(2.0, &[2.0]);
+        r.push(0.0, &[0.0]).unwrap();
+        r.push(1.0, &[2.0]).unwrap();
+        r.push(2.0, &[2.0]).unwrap();
         assert!((r.integral("p").unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn rms_of_constant() {
         let mut r = TransientResult::new(vec!["x".into()]);
-        r.push(0.0, &[-3.0]);
-        r.push(1.0, &[3.0]);
+        r.push(0.0, &[-3.0]).unwrap();
+        r.push(1.0, &[3.0]).unwrap();
         assert!((r.rms("x").unwrap() - 3.0).abs() < 1e-12);
     }
 

@@ -242,6 +242,59 @@ fn newton_fixture_bits_are_pinned() {
     assert_eq!(got, pinned, "NR fixture fingerprints moved");
 }
 
+/// A 20 V half-wave rectifier into an RC load. From rest, the diode's
+/// first Newton update lands far past its critical voltage, so under a
+/// one- or two-iteration budget junction limiting leaves some steps
+/// unconverged: the engine rolls their states back and halves them.
+fn hard_rectifier() -> (Netlist, Vec<Probe>) {
+    let mut nl = Netlist::new();
+    let src = nl.node("src");
+    let out = nl.node("out");
+    nl.vsource("V1", src, Netlist::GROUND, SourceWaveform::sine(20.0, 50.0))
+        .expect("source");
+    nl.diode("D1", src, out).expect("diode");
+    nl.resistor("RL", out, Netlist::GROUND, 1e3).expect("load");
+    nl.capacitor("C1", out, Netlist::GROUND, 1e-6, 0.0)
+        .expect("cap");
+    let probes = vec![
+        Probe::node_voltage("out"),
+        Probe::element_current("D1"),
+        Probe::element_current("C1"),
+    ];
+    (nl, probes)
+}
+
+#[test]
+fn newton_step_halving_bits_are_pinned() {
+    // 200 steps at one iteration each plus the t = 0 solve would be 201
+    // factorisations: the surplus is the halved attempts.
+    let pinned: [(usize, TransientPin); 2] = [
+        (
+            1,
+            (201, 10901685261495691447, [200, 205, 205, 205, 0, 0, 0]),
+        ),
+        (
+            2,
+            (201, 11532895700463511176, [200, 410, 410, 410, 0, 0, 0]),
+        ),
+    ];
+    let cfg = TransientConfig::new(0.02, 1e-4).expect("cfg");
+    let got: Vec<(usize, TransientPin)> = [1, 2]
+        .into_iter()
+        .map(|max_iterations| {
+            let (nl, probes) = hard_rectifier();
+            let r = NewtonRaphsonEngine {
+                max_iterations,
+                ..NewtonRaphsonEngine::default()
+            }
+            .simulate(&nl, &cfg, &probes)
+            .unwrap_or_else(|e| panic!("{max_iterations} iterations: NR failed: {e}"));
+            (max_iterations, transient_pin(&r))
+        })
+        .collect();
+    assert_eq!(got, pinned, "NR step-halving fingerprints moved: {got:?}");
+}
+
 #[test]
 fn lss_fixture_bits_are_pinned() {
     let pinned: [(&str, TransientPin); 5] = [

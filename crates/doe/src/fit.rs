@@ -66,8 +66,9 @@ pub fn fit(spec: &ModelSpec, points: &[Vec<f64>], responses: &[f64]) -> Result<F
     let coeffs = qr.solve_least_squares(responses)?;
     let xtx_inv = qr.xtx_inverse()?;
 
-    let fitted: Vec<f64> = (0..n)
-        .map(|i| x.row(i).iter().zip(coeffs.iter()).map(|(a, b)| a * b).sum())
+    let fitted: Vec<f64> = x
+        .iter_rows()
+        .map(|row| row.iter().zip(coeffs.iter()).map(|(a, b)| a * b).sum())
         .collect();
     let residuals: Vec<f64> = responses
         .iter()
@@ -81,8 +82,7 @@ pub fn fit(spec: &ModelSpec, points: &[Vec<f64>], responses: &[f64]) -> Result<F
     // Leverages h_i = x_iᵀ (XᵀX)⁻¹ x_i and PRESS.
     let mut leverages = Vec::with_capacity(n);
     let mut press = 0.0;
-    for (i, e) in residuals.iter().enumerate() {
-        let row = x.row(i);
+    for (e, row) in residuals.iter().zip(x.iter_rows()) {
         let tmp = xtx_inv.matvec(row)?;
         let h: f64 = row.iter().zip(tmp.iter()).map(|(a, b)| a * b).sum();
         leverages.push(h);

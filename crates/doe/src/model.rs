@@ -372,7 +372,7 @@ mod tests {
         let m = ModelSpec::quadratic(2).unwrap();
         let x = m.design_matrix(&[vec![2.0, 3.0]]).unwrap();
         // Columns: 1, x0, x1, x0x1, x0², x1².
-        assert_eq!(x.row(0), &[1.0, 2.0, 3.0, 6.0, 4.0, 9.0]);
+        assert_eq!(x.row(0), Some(&[1.0, 2.0, 3.0, 6.0, 4.0, 9.0][..]));
     }
 
     #[test]

@@ -168,13 +168,9 @@ impl ResponseSurface {
     /// The rows of `B x`, each accumulated from 0.0 in column order as
     /// [`Matrix::matvec`] does.
     fn bx<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
-        (0..self.b.len()).map(move |i| {
-            self.bmat
-                .row(i)
-                .iter()
-                .zip(x)
-                .fold(0.0, |acc, (a, c)| acc + a * c)
-        })
+        self.bmat
+            .iter_rows()
+            .map(move |row| row.iter().zip(x).fold(0.0, |acc, (a, c)| acc + a * c))
     }
 }
 

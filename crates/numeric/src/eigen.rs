@@ -154,7 +154,7 @@ mod tests {
         assert!((e.values[0] - 1.0).abs() < 1e-12);
         assert!((e.values[1] - 3.0).abs() < 1e-12);
         // Eigenvector for λ=3 is (1,1)/√2 up to sign.
-        let v = e.vectors.col(1);
+        let v = e.vectors.col(1).unwrap();
         assert!((v[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
         assert!((v[0] - v[1]).abs() < 1e-10 || (v[0] + v[1]).abs() < 1e-10);
     }

@@ -139,8 +139,8 @@ pub fn discretize_zoh(a: &Matrix, b: &Matrix, h: f64) -> Result<(Matrix, Matrix)
         }
     }
     let e = expm(&block)?;
-    let phi = e.submatrix(0, n, 0, n);
-    let gamma = e.submatrix(0, n, n, n + m);
+    let phi = e.submatrix(0, n, 0, n)?;
+    let gamma = e.submatrix(0, n, n, n + m)?;
     Ok((phi, gamma))
 }
 

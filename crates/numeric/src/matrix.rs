@@ -143,49 +143,34 @@ impl Matrix {
         &self.data
     }
 
-    /// Borrow of row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row(&self, i: usize) -> &[f64] {
-        assert!(i < self.rows, "row index {i} out of range {}", self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
+    /// Mutable borrow of the underlying row-major buffer.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
-    /// Mutable borrow of row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of range {}", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    /// The rows in order, each as a slice of `cols()` entries.
+    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
-    /// Copy of column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index {j} out of range {}", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
+    /// Borrow of row `i` as a slice, or `None` if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> Option<&[f64]> {
+        (i < self.rows).then(|| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
-    /// Swaps rows `a` and `b` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(a < self.rows && b < self.rows, "row index out of range");
-        if a == b {
-            return;
+    /// Mutable borrow of row `i` as a slice, or `None` if
+    /// `i >= self.rows()`.
+    pub fn row_mut(&mut self, i: usize) -> Option<&mut [f64]> {
+        if i < self.rows {
+            Some(&mut self.data[i * self.cols..(i + 1) * self.cols])
+        } else {
+            None
         }
-        for j in 0..self.cols {
-            self.data.swap(a * self.cols + j, b * self.cols + j);
-        }
+    }
+
+    /// Copy of column `j`, or `None` if `j >= self.cols()`.
+    pub fn col(&self, j: usize) -> Option<Vec<f64>> {
+        (j < self.cols).then(|| self.iter_rows().map(|row| row[j]).collect())
     }
 
     /// Returns the transpose.
@@ -206,13 +191,12 @@ impl Matrix {
             ));
         }
         let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let row = self.row(i);
+        for (yi, row) in y.iter_mut().zip(self.iter_rows()) {
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x.iter()) {
                 acc += a * b;
             }
-            y[i] = acc;
+            *yi = acc;
         }
         Ok(y)
     }
@@ -263,8 +247,8 @@ impl Matrix {
 
     /// Infinity norm (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
+        self.iter_rows()
+            .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
             .fold(0.0, f64::max)
     }
 
@@ -275,12 +259,17 @@ impl Matrix {
 
     /// Trace (sum of diagonal entries).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
+    /// Returns [`NumericError::Dimension`] if the matrix is not square.
+    pub fn trace(&self) -> Result<f64> {
+        if !self.is_square() {
+            return Err(NumericError::dimension(
+                "square matrix",
+                format!("{}x{}", self.rows, self.cols),
+            ));
+        }
+        Ok((0..self.rows).map(|i| self[(i, i)]).sum())
     }
 
     /// Elementwise maximum absolute difference to another matrix.
@@ -298,15 +287,22 @@ impl Matrix {
     }
 
     /// Extracts the contiguous sub-matrix with rows `r0..r1` and columns
-    /// `c0..c1` (half-open ranges).
+    /// `c0..c1` (half-open ranges; an empty range gives an empty side).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the ranges are out of bounds or empty.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 < r1 && r1 <= self.rows, "bad row range {r0}..{r1}");
-        assert!(c0 < c1 && c1 <= self.cols, "bad column range {c0}..{c1}");
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
+    /// Returns [`NumericError::Dimension`] if a range is reversed or
+    /// ends past the matrix.
+    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Result<Matrix> {
+        if !(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols) {
+            return Err(NumericError::dimension(
+                format!("ranges within {}x{}", self.rows, self.cols),
+                format!("rows {r0}..{r1}, columns {c0}..{c1}"),
+            ));
+        }
+        Ok(Matrix::from_fn(r1 - r0, c1 - c0, |i, j| {
+            self[(r0 + i, c0 + j)]
+        }))
     }
 
     /// Whether all entries are finite.
@@ -395,17 +391,16 @@ impl Mul for &Matrix {
                 format!("{} rows", rhs.rows),
             ));
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let n = rhs.cols;
+        let mut out = Matrix::zeros(self.rows, n);
         // i-k-j loop order keeps the inner loop contiguous in both
         // operands, which matters for the repeated squarings in `expm`.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
+        for (i, a_row) in self.iter_rows().enumerate() {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (&aik, rhs_row) in a_row.iter().zip(rhs.iter_rows()) {
                 if aik == 0.0 {
                     continue;
                 }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
                 for (o, r) in out_row.iter_mut().zip(rhs_row.iter()) {
                     *o += aik * r;
                 }
@@ -418,9 +413,7 @@ impl Mul for &Matrix {
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix {}x{} ", self.rows, self.cols)?;
-        f.debug_list()
-            .entries((0..self.rows).map(|i| self.row(i)))
-            .finish()
+        f.debug_list().entries(self.iter_rows()).finish()
     }
 }
 
@@ -453,7 +446,7 @@ mod tests {
         assert_eq!(z.shape(), (2, 3));
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
         let i = Matrix::identity(3);
-        assert!(approx_eq(i.trace(), 3.0));
+        assert!(approx_eq(i.trace().unwrap(), 3.0));
     }
 
     #[test]
@@ -512,11 +505,46 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_swaps() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        a.swap_rows(0, 1);
-        assert!(approx_eq(a[(0, 0)], 3.0));
-        assert!(approx_eq(a[(1, 1)], 2.0));
+    fn rows_and_columns_are_borrowed_in_range_only() {
+        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
+        assert_eq!(a.row(2), Some(&[5.0, 6.0][..]));
+        assert_eq!(a.row(3), None);
+        assert_eq!(a.row(usize::MAX), None);
+        assert_eq!(a.col(1), Some(vec![2.0, 4.0, 6.0]));
+        assert_eq!(a.col(2), None);
+        if let Some(r) = a.row_mut(0) {
+            r[1] = -2.0;
+        }
+        assert_eq!(a[(0, 1)], -2.0);
+        assert!(a.row_mut(3).is_none());
+        let rows: Vec<&[f64]> = a.iter_rows().collect();
+        assert_eq!(rows, [&[1.0, -2.0][..], &[3.0, 4.0], &[5.0, 6.0]]);
+        // A matrix without columns still has its rows, each empty.
+        assert_eq!(Matrix::zeros(2, 0).iter_rows().count(), 2);
+    }
+
+    #[test]
+    fn trace_of_a_non_square_matrix_is_a_dimension_error() {
+        assert!(matches!(
+            Matrix::zeros(2, 3).trace(),
+            Err(NumericError::Dimension { .. })
+        ));
+        assert_eq!(Matrix::zeros(0, 0).trace(), Ok(0.0));
+    }
+
+    #[test]
+    fn submatrix_out_of_range_is_a_dimension_error() {
+        let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
+        for (r0, r1, c0, c1) in [(0, 4, 0, 1), (0, 1, 0, 5), (2, 1, 0, 1), (0, 1, 3, 2)] {
+            assert!(
+                matches!(
+                    a.submatrix(r0, r1, c0, c1),
+                    Err(NumericError::Dimension { .. })
+                ),
+                "rows {r0}..{r1}, columns {c0}..{c1}"
+            );
+        }
+        assert_eq!(a.submatrix(0, 3, 4, 4).unwrap().shape(), (3, 0));
     }
 
     #[test]
@@ -530,7 +558,7 @@ mod tests {
     #[test]
     fn submatrix_extracts_block() {
         let a = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = a.submatrix(1, 3, 2, 4);
+        let s = a.submatrix(1, 3, 2, 4).unwrap();
         assert_eq!(s.shape(), (2, 2));
         assert!(approx_eq(s[(0, 0)], 6.0));
         assert!(approx_eq(s[(1, 1)], 11.0));
@@ -539,7 +567,7 @@ mod tests {
     #[test]
     fn diagonal_builds_square() {
         let d = Matrix::diagonal(&[1.0, 2.0, 3.0]);
-        assert!(approx_eq(d.trace(), 6.0));
+        assert!(approx_eq(d.trace().unwrap(), 6.0));
         assert!(approx_eq(d[(0, 1)], 0.0));
     }
 

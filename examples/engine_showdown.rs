@@ -4,7 +4,8 @@
 //! multiplier → storage capacitor).
 //!
 //! This is the motivation of the DATE'13 paper made concrete: the same
-//! netlist, the same excitation, two orders of magnitude apart in cost.
+//! netlist and the same excitation under both engines, with the cost of
+//! each as measured on the host printed side by side.
 //!
 //! Run with: `cargo run --release --example engine_showdown`
 
